@@ -134,8 +134,13 @@ def _emit(args, text: str) -> None:
     data = text.encode("utf-8")
     out = getattr(args, "out", None)
     if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise InvalidInputError(
+                f"cannot write --out {out!r}: {exc.strerror or exc}"
+            ) from None
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -363,8 +368,17 @@ def _add_scenario_flags(sp, required: tuple[str, ...] = ()) -> None:
                     help="evaluate far-field formulas even when R/d is below the threshold")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors become invalid-input errors, so
+    they reach stdout as the JSON error object; subparsers inherit this."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise InvalidInputError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="interferobounds",
         description="Timing, causality, and separation bounds for mass and "
         "charge interferometry, with wavepacket cross-checks.",
@@ -441,30 +455,22 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _emit_error(code: str, exc: Exception) -> None:
+    sys.stdout.write(
+        json.dumps({"error": {"code": code, "message": str(exc)}}, indent=2, sort_keys=True)
+        + "\n"
+    )
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_negative_values(list(argv)))
     try:
+        args = _build_parser().parse_args(_merge_negative_values(list(argv)))
         return args.func(args)
     except InvalidInputError as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": {"code": "invalid-input", "message": str(exc)}},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        _emit_error("invalid-input", exc)
         return 2
     except ConvergenceError as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": {"code": "no-convergence", "message": str(exc)}},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        _emit_error("no-convergence", exc)
         return 3

@@ -2,10 +2,10 @@
 
 Planck units throughout (hbar = 1).  States are pure one-dimensional
 Gaussians tracked by mean position/momentum, a 2x2 covariance matrix
-(x^2, x*p, p^2 blocks) and an accumulated action phase.  Constant-force
-evolution is exact for this family, so the oracle has no integrator error;
-the source is held static during the probe's measurement and each branch
-feels the full 1/r^2 force of its path.
+(x^2, x*p, p^2 blocks; a tuple of float tuples) and an accumulated action
+phase.  Constant-force evolution is exact for this family, so the oracle
+has no integrator error; the source is held static during the probe's
+measurement and each branch feels the full 1/r^2 force of its path.
 
 Sign convention: positive x points from the probe toward the source, so
 both branch forces are positive and the nearer path pulls harder.
@@ -13,10 +13,10 @@ both branch forces are positive and the nearer path pulls harder.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import bounds
 from .errors import ConvergenceError, InvalidInputError
@@ -35,6 +35,13 @@ _BRACKET_CAP_FACTOR = 1e6
 
 _DEKKER_SPLIT = 134217729.0  # 2^27 + 1
 
+# glibc's cexp scales e^x by e^709 per step, int((DBL_MAX_EXP - 1)*ln 2),
+# so that exp(z) keeps a finite component where e^x alone overflows.
+_CEXP_STEP = 709.0
+_CEXP_STEP_VALUE = math.exp(_CEXP_STEP)
+
+Covariance = tuple[tuple[float, float], tuple[float, float]]
+
 
 def _two_product(a: float, b: float) -> tuple[float, float]:
     # Dekker: exact product a*b = x + y with x = fl(a*b).
@@ -49,18 +56,16 @@ def _two_product(a: float, b: float) -> tuple[float, float]:
     return x, y
 
 
-def _cov_det(cov: np.ndarray) -> float:
+def _cov_det(cov: Covariance) -> float:
     # Compensated 2x2 determinant: accurate even when the two products
     # nearly cancel (long free spreading makes them huge).
-    p, pe = _two_product(float(cov[0, 0]), float(cov[1, 1]))
-    q, qe = _two_product(float(cov[0, 1]), float(cov[1, 0]))
+    p, pe = _two_product(cov[0][0], cov[1][1])
+    q, qe = _two_product(cov[0][1], cov[1][0])
     return (p - q) + (pe - qe)
 
 
-def _det_noise_scale(cov: np.ndarray) -> float:
-    return _DET_NOISE_RTOL * float(
-        abs(cov[0, 0] * cov[1, 1]) + abs(cov[0, 1] * cov[1, 0])
-    )
+def _det_noise_scale(cov: Covariance) -> float:
+    return _DET_NOISE_RTOL * (abs(cov[0][0] * cov[1][1]) + abs(cov[0][1] * cov[1][0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,46 +74,52 @@ class GaussianState:
 
     The covariance must be symmetric, positive definite, and respect the
     uncertainty floor det(cov) >= 1/4, all up to the representation noise
-    of its entries.  Treated as immutable; the stored array is read-only.
+    of its entries.  Any 2x2 array-like is accepted and stored as an
+    immutable tuple of float tuples, read as cov[i][j].
     """
 
     mean_x: float
     mean_p: float
-    cov: np.ndarray
+    cov: Covariance
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        cov = np.array(self.cov, dtype=float)
-        if cov.shape != (2, 2):
-            raise InvalidInputError(f"covariance must be 2x2, got shape {cov.shape}")
+        try:
+            cov = tuple(tuple(float(v) for v in row) for row in self.cov)
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"covariance must be a 2x2 array of numbers, got {self.cov!r}"
+            ) from None
+        if len(cov) != 2 or len(cov[0]) != 2 or len(cov[1]) != 2:
+            raise InvalidInputError(f"covariance must be 2x2, got {cov!r}")
+        (sxx, sxp), (spx, spp) = cov
         if not (
-            np.isfinite(cov).all()
+            all(math.isfinite(v) for v in (sxx, sxp, spx, spp))
             and math.isfinite(self.mean_x)
             and math.isfinite(self.mean_p)
             and math.isfinite(self.phase)
         ):
             raise InvalidInputError("state fields must be finite")
-        scale = max(1.0, abs(cov[0, 1]), abs(cov[1, 0]))
-        if abs(cov[0, 1] - cov[1, 0]) > 1e-12 * scale:
+        scale = max(1.0, abs(sxp), abs(spx))
+        if abs(sxp - spx) > 1e-12 * scale:
             raise InvalidInputError("covariance must be symmetric")
         det = _cov_det(cov)
         slack = _det_noise_scale(cov)
-        if cov[0, 0] <= 0.0 or det <= -slack:
+        if sxx <= 0.0 or det <= -slack:
             raise InvalidInputError("covariance must be positive definite")
         if det < 0.25 * (1.0 - 1e-9) - slack:
             raise InvalidInputError(
                 f"covariance violates the uncertainty floor: det = {det!r} < 1/4"
             )
-        cov.setflags(write=False)
         object.__setattr__(self, "cov", cov)
 
     @property
     def sigma_x(self) -> float:
-        return math.sqrt(self.cov[0, 0])
+        return math.sqrt(self.cov[0][0])
 
     @property
     def sigma_p(self) -> float:
-        return math.sqrt(self.cov[1, 1])
+        return math.sqrt(self.cov[1][1])
 
 
 def ground_state(m: float, omega: float) -> GaussianState:
@@ -119,7 +130,7 @@ def ground_state(m: float, omega: float) -> GaussianState:
         raise InvalidInputError(f"nonpositive frequency omega = {omega!r}")
     sx2 = 1.0 / (2.0 * m * omega)
     sp2 = 0.5 * m * omega
-    return GaussianState(0.0, 0.0, np.diag([sx2, sp2]), 0.0)
+    return GaussianState(0.0, 0.0, ((sx2, 0.0), (0.0, sp2)), 0.0)
 
 
 def ground_state_with_width(m: float, sigma_x: float) -> GaussianState:
@@ -145,13 +156,9 @@ def evolve_constant_force(
     if not math.isfinite(force):
         raise InvalidInputError(f"force must be finite, got {force!r}")
     tau = t / m
-    sxx, sxp, spp = state.cov[0, 0], state.cov[0, 1], state.cov[1, 1]
-    new_cov = np.array(
-        [
-            [sxx + 2.0 * tau * sxp + tau * tau * spp, sxp + tau * spp],
-            [sxp + tau * spp, spp],
-        ]
-    )
+    (sxx, sxp), (_, spp) = state.cov
+    new_sxp = sxp + tau * spp
+    new_cov = ((sxx + 2.0 * tau * sxp + tau * tau * spp, new_sxp), (new_sxp, spp))
     x0, p0 = state.mean_x, state.mean_p
     mean_x = x0 + p0 * tau + 0.5 * force * t * tau
     mean_p = p0 + force * t
@@ -166,8 +173,50 @@ def evolve_constant_force(
 def _complex_width(s: GaussianState) -> complex:
     # Wavefunction exp(-a*(x - mean_x)^2/2 + ...) with a fixed by the
     # covariance of a pure state.
-    sxx = s.cov[0, 0]
-    return 1.0 / (2.0 * sxx) - 1j * s.cov[0, 1] / sxx
+    (sxx, sxp), _ = s.cov
+    return 1.0 / (2.0 * sxx) - 1j * sxp / sxx
+
+
+def _cdiv(a: complex, b: complex) -> complex:
+    # Complex division as numpy rounds it (Smith's method, then a multiply
+    # by the reciprocal of the scaled denominator); CPython's `/` divides by
+    # that denominator instead and differs in the last bit on many inputs.
+    # numpy's rounding keeps the overlap, and so the golden series,
+    # bit-identical to the numpy reference kept in the tests.
+    br, bi = b.real, b.imag
+    if br == 0.0 and bi == 0.0:
+        # IEEE x/+0: signed infinity, or NaN for a zero or NaN numerator.
+        return complex(a.real * math.inf, a.imag * math.inf)
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+
+
+def _cexp(z: complex) -> complex:
+    # exp(z) as glibc's cexp, which numpy calls, evaluates it.  cmath.exp
+    # agrees below Re z ~ 708.4 but rounds differently above it, and raises
+    # OverflowError or ValueError where this returns infinities or NaNs.
+    x, y = z.real, z.imag
+    if not (math.isfinite(x) and math.isfinite(y)):
+        try:
+            return cmath.exp(z)
+        except ValueError:  # exp(x +/- i*inf)
+            return complex(math.inf if x == math.inf else math.nan, math.nan)
+    if abs(y) > sys.float_info.min:
+        sin_y, cos_y = math.sin(y), math.cos(y)
+    else:
+        sin_y, cos_y = y, 1.0
+    for _ in range(2):
+        if x > _CEXP_STEP:
+            x -= _CEXP_STEP
+            sin_y *= _CEXP_STEP_VALUE
+            cos_y *= _CEXP_STEP_VALUE
+    scale = sys.float_info.max if x > _CEXP_STEP else math.exp(x)
+    return complex(scale * cos_y, scale * sin_y)
 
 
 def overlap(a: GaussianState, b: GaussianState) -> complex:
@@ -182,7 +231,7 @@ def overlap(a: GaussianState, b: GaussianState) -> complex:
             raise InvalidInputError(
                 f"overlap is defined for pure states (det cov = 1/4), got det = {det!r}"
             )
-    wa = np.conjugate(_complex_width(a))
+    wa = _complex_width(a).conjugate()
     wb = _complex_width(b)
     big_a = (wa + wb) / 2.0
     big_b = wa * a.mean_x + wb * b.mean_x + 1j * (b.mean_p - a.mean_p)
@@ -192,8 +241,11 @@ def overlap(a: GaussianState, b: GaussianState) -> complex:
         + 1j * (a.mean_p * a.mean_x - b.mean_p * b.mean_x)
         + 1j * (b.phase - a.phase)
     )
-    norm = (2.0 * math.pi * a.cov[0, 0]) ** -0.25 * (2.0 * math.pi * b.cov[0, 0]) ** -0.25
-    return complex(norm * np.sqrt(np.pi / big_a) * np.exp(big_b * big_b / (4.0 * big_a) + big_c))
+    norm = (2.0 * math.pi * a.cov[0][0]) ** -0.25 * (2.0 * math.pi * b.cov[0][0]) ** -0.25
+    # cmath.sqrt rounds like numpy's csqrt except where a part of its
+    # argument is zero, subnormal or beyond DBL_MAX/4; Re(pi/A) > 0, and the
+    # other cases need covariance entries hundreds of decades apart.
+    return norm * cmath.sqrt(_cdiv(math.pi, big_a)) * _cexp(_cdiv(big_b * big_b, 4.0 * big_a) + big_c)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from interferobounds import __version__
 from interferobounds.cli import main
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -62,6 +63,20 @@ def parse_csv(text):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_bytes(name):
     proc = run_cli(GOLDEN_CASES[name])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_bytes_without_numpy(name):
+    # A None entry in sys.modules makes any `import numpy` raise ImportError.
+    code = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from interferobounds.cli import main; raise SystemExit(main())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *GOLDEN_CASES[name]], capture_output=True
+    )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / name).read_bytes()
 
@@ -156,6 +171,53 @@ def test_wrong_dimension_suffix_rejected():
 def test_unparseable_quantity_rejected():
     proc = run_cli(["bounds", "--m-a", "1e6 mp", "--d", "1lp", "--r", "1lp"])
     assert proc.returncode == 2
+
+
+def test_unwritable_out_is_invalid_input(tmp_path):
+    argv = GOLDEN_CASES["causal_mixed.json"]
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        proc = run_cli(argv + ["--out", str(target)])
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        err = json.loads(proc.stdout)["error"]
+        assert err["code"] == "invalid-input"
+        assert str(target) in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["bounds", "--m-a", "1e6mp", "--r", "1e8lp"], "--d"),
+        (["sweep", "--sweep", "eta", "--from", "0.1", "--to", "0.9",
+          "--points", "1e5", "--m-a", "1mp", "--d", "1lp"], "--points"),
+        (["bounds", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
+          "--model", "nope"], "--model"),
+        (["causal", "--t-a", "1tp", "--t-b", "1tp", "--r", "1lp", "--bogus"], "--bogus"),
+        ([], "command"),
+    ],
+)
+def test_usage_errors_emit_json_error(argv, fragment):
+    proc = run_cli(argv)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    err = json.loads(proc.stdout)["error"]
+    assert err["code"] == "invalid-input"
+    assert fragment in err["message"]
+
+
+def test_usage_errors_in_process_return_two(capsys):
+    assert main(["simulate", "--model", "displacement"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid-input"
+
+
+def test_help_and_version_exit_zero_with_text():
+    version = run_cli(["--version"])
+    assert version.returncode == 0
+    assert version.stdout == f"interferobounds {__version__}\n".encode()
+    for argv in (["--help"], ["sweep", "--help"]):
+        proc = run_cli(argv)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(b"usage: interferobounds")
 
 
 def test_coulomb_displacement_needs_dx_min():

@@ -20,7 +20,7 @@ from interferobounds.scenario import ScenarioParams
 
 
 def _det(cov):
-    return cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    return cov[0][0] * cov[1][1] - cov[0][1] * cov[1][0]
 
 
 def _random_pure_state(rng):
@@ -93,7 +93,7 @@ def test_free_spreading_formula():
     for t in (0.5, 2.0, 10.0):
         e = evolve_constant_force(s, 0.0, m, t)
         expected = sigma0 ** 2 + (t / (2.0 * m * sigma0)) ** 2
-        assert e.cov[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert e.cov[0][0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_evolution_rejects_negative_time():
@@ -207,8 +207,8 @@ def _split_step(psi0, x, force, m, t, steps):
 
 
 def _wavefunction(state, x):
-    sxx = state.cov[0, 0]
-    a = 1.0 / (2.0 * sxx) - 1j * state.cov[0, 1] / sxx
+    sxx = state.cov[0][0]
+    a = 1.0 / (2.0 * sxx) - 1j * state.cov[0][1] / sxx
     return (
         (2.0 * np.pi * sxx) ** -0.25
         * np.exp(
@@ -234,7 +234,7 @@ def test_pde_cross_check_moments_and_branch_overlap():
         mean = float(np.sum(np.abs(psi) ** 2 * x) * dx)
         var = float(np.sum(np.abs(psi) ** 2 * (x - mean) ** 2) * dx)
         assert mean == pytest.approx(analytic.mean_x, abs=1e-8)
-        assert var == pytest.approx(analytic.cov[0, 0], rel=1e-8)
+        assert var == pytest.approx(analytic.cov[0][0], rel=1e-8)
         # Magnitude only: the numeric state carries the width (Gouy) phase,
         # which is common to all branches and drops out of branch overlaps.
         ov = complex(np.sum(np.conj(psi) * _wavefunction(analytic, x)) * dx)
