@@ -17,7 +17,6 @@ from .units import (
     Dimension,
     Quantity,
     from_planck,
-    make_quantity,
     to_planck,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "MASS",
     "TIME",
     "CHARGE",
-    "make_quantity",
     "to_planck",
     "from_planck",
 ]

@@ -14,7 +14,7 @@ dependence so the dropped O(d/r) factors can be audited.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 from . import causal
 from .errors import GeometryError, InvalidInputError
@@ -116,6 +116,29 @@ def ta_lower_bound(eta: float, m_a: float, d: float) -> float:
     return 4.0 * (eta ** 2 - eta ** 3) * m_a * d
 
 
+def r_implied(eta: float, m_a: float, d: float) -> float:
+    """Separation whose round-trip budget 2R/c tb_eta and ta_lower_bound
+    fill exactly at fraction eta: 2*eta^2*m_a*d."""
+    _check_eta_args(eta, m_a, d)
+    return 2.0 * eta * eta * m_a * d
+
+
+# The columns of an eta sweep and their provenance; eta_row gives their values.
+ETA_COLUMNS = (
+    ("tb_eta", "4*eta^3*(K/m_B)*d"),
+    ("ta_lower_bound", "4*(eta^2 - eta^3)*(K/m_B)*d"),
+    ("ta_tb_total", "tb_eta + ta_lower_bound"),
+    ("r_implied", "2*eta^2*(K/m_B)*d"),
+)
+
+
+def eta_row(eta: float, m_a: float, d: float) -> tuple[float, float, float, float]:
+    """The ETA_COLUMNS values at fraction eta."""
+    tb = tb_eta(eta, m_a, d)
+    ta = ta_lower_bound(eta, m_a, d)
+    return tb, ta, ta + tb, r_implied(eta, m_a, d)
+
+
 @dataclass(frozen=True)
 class EtaOptimum:
     eta_star: float
@@ -190,14 +213,21 @@ def ta_min_one_way(m_a: float, d: float) -> float:
     return ta_min_round_trip(m_a, d) / 8.0
 
 
-def r_max_displacement(m_a: float, d: float) -> float:
+def r_max_displacement(m_a: float, d: float, slack: float = 1.0) -> float:
     """Largest separation at which a displacement measurement can finish
-    back-reaction free: m_a*d/2."""
+    back-reaction free: m_a*d/(2*slack).
+
+    slack is the tb_displacement shift multiplier.  The confinement floor
+    dx_min is left out, so this matches displacement_backreaction_free
+    only for dx_min = 1 l_P.
+    """
     if m_a <= 0.0:
         raise InvalidInputError(f"nonpositive mass m_a = {m_a!r}")
     if d <= 0.0:
         raise InvalidInputError(f"nonpositive length d = {d!r}")
-    return m_a * d / 2.0
+    if slack <= 0.0:
+        raise InvalidInputError(f"nonpositive slack = {slack!r}")
+    return m_a * d / (2.0 * slack)
 
 
 def phase_difference(p: ScenarioParams, t: float, mode: str = "exact") -> float:
@@ -239,141 +269,116 @@ def r_max_phase(m_a: float, m_b: float, d: float) -> float:
     return m_a * m_b * d / math.pi
 
 
-_REPORT_FIELD_ORDER = (
-    "tb_displacement",
-    "ta_min_round_trip",
-    "ta_min_one_way",
-    "r_max_displacement",
-    "displacement_backreaction_free",
-    "tb_phase_exact",
-    "tb_phase_approx",
-    "r_max_phase",
-    "phase_backreaction_free",
-    "geometry_valid",
-    "source_planck_ratio",
-    "probe_planck_ratio",
-    "pair_planck_ratio",
-    "source_exceeds_planck",
-    "probe_exceeds_planck",
-    "pair_exceeds_planck_sq",
+# The feasibility report, one row per field in output order:
+# (field, model, provenance, value).  Rows of model None belong to every
+# report.  value(p, slack, v) may read the fields before it from v.  In
+# provenance, {src}, {prb} and {pair} stand for the coupling's symbols.
+_REPORT = (
+    ("tb_displacement", "displacement", "sqrt(2*slack*dx_min*m_B*R^3/(K*d))",
+     lambda p, slack, v: tb_displacement(p, slack)),
+    ("ta_min_round_trip", "displacement", "(16/27)*(K/m_B)*d",
+     lambda p, slack, v: ta_min_round_trip(p.effective_source_mass, p.d)),
+    ("ta_min_one_way", "displacement", "(2/27)*(K/m_B)*d",
+     lambda p, slack, v: ta_min_one_way(p.effective_source_mass, p.d)),
+    ("r_max_displacement", "displacement", "(K/m_B)*d/(2*slack)",
+     lambda p, slack, v: r_max_displacement(p.effective_source_mass, p.d, slack)),
+    ("displacement_backreaction_free", "displacement", "tb_displacement < R/c",
+     lambda p, slack, v: causal.backreaction_free(v["tb_displacement"], p.r)),
+    ("tb_phase_exact", "phase", "pi*R*(R+d)/(K*d)",
+     lambda p, slack, v: tb_phase(p, "exact")),
+    ("tb_phase_approx", "phase", "pi*R^2/(K*d)",
+     lambda p, slack, v: tb_phase(p, "approx")),
+    ("r_max_phase", "phase", "K*d/pi",
+     lambda p, slack, v: r_max_phase(p.source_strength, p.probe_strength, p.d)),
+    ("phase_backreaction_free", "phase", "R < K*d/pi",
+     lambda p, slack, v: p.r < v["r_max_phase"]),
+    ("geometry_valid", None, "R/d >= r_over_d_min",
+     lambda p, slack, v: p.geometry_valid),
+    ("source_planck_ratio", None, "{src}", lambda p, slack, v: p.source_strength),
+    ("probe_planck_ratio", None, "{prb}", lambda p, slack, v: p.probe_strength),
+    ("pair_planck_ratio", None, "{pair}", lambda p, slack, v: p.pair_coupling),
+    ("source_exceeds_planck", None, "{src} >= r_over_d_min",
+     lambda p, slack, v: v["source_planck_ratio"] >= p.r_over_d_min),
+    ("probe_exceeds_planck", None, "{prb} >= r_over_d_min",
+     lambda p, slack, v: v["probe_planck_ratio"] >= p.r_over_d_min),
+    ("pair_exceeds_planck_sq", None, "{pair} >= r_over_d_min",
+     lambda p, slack, v: v["pair_planck_ratio"] >= p.r_over_d_min),
 )
+_FIELDS = tuple(row[0] for row in _REPORT)
+_ROWS = {
+    model: tuple(row for row in _REPORT if row[1] in (None, model) or model == "both")
+    for model in ("displacement", "phase", "both")
+}
+_SYMBOLS = {
+    CouplingKind.GRAVITY: {"src": "m_A/m_P", "prb": "m_B/m_P", "pair": "m_A*m_B/m_P^2"},
+    CouplingKind.COULOMB: {"src": "q_A/q_P", "prb": "q_B/q_P", "pair": "q_A*q_B/q_P^2"},
+}
+# Formatted once here; report_provenance hands out copies.
+_PROVENANCE = {
+    (coupling, model): {row[0]: row[2].format(**symbols) for row in rows}
+    for coupling, symbols in _SYMBOLS.items()
+    for model, rows in _ROWS.items()
+}
+
+
+def _rows(model: str) -> tuple:
+    if model not in _ROWS:
+        raise InvalidInputError(
+            f"model must be displacement, phase, or both, got {model!r}"
+        )
+    return _ROWS[model]
 
 
 @dataclass(frozen=True)
 class BoundsReport:
     """All bounds for one scenario, with per-field formula provenance.
 
-    Times in t_P, lengths in l_P.  Fields for a model that was not
-    requested are None.  The planck ratios are mass ratios for gravity and
-    charge ratios for coulomb; the *_exceeds flags compare them against
-    r_over_d_min as the working proxy for '>>'.
+    Every report field reads as an attribute.  Times in t_P, lengths in
+    l_P.  Fields for a model that was not requested are None.  The planck
+    ratios are mass ratios for gravity and charge ratios for coulomb; the
+    *_exceeds flags compare them against r_over_d_min as the working proxy
+    for '>>'.
     """
 
-    geometry_valid: bool
-    source_planck_ratio: float
-    probe_planck_ratio: float
-    pair_planck_ratio: float
-    source_exceeds_planck: bool
-    probe_exceeds_planck: bool
-    pair_exceeds_planck_sq: bool
-    tb_displacement: float | None = None
-    ta_min_round_trip: float | None = None
-    ta_min_one_way: float | None = None
-    r_max_displacement: float | None = None
-    displacement_backreaction_free: bool | None = None
-    tb_phase_exact: float | None = None
-    tb_phase_approx: float | None = None
-    r_max_phase: float | None = None
-    phase_backreaction_free: bool | None = None
-    provenance: dict = field(default_factory=dict)
+    values: dict
+    provenance: dict
+
+    def __getattr__(self, name: str):
+        if name in _FIELDS:
+            return self.values.get(name)
+        raise AttributeError(f"'BoundsReport' object has no attribute {name!r}")
 
     def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name == "provenance":
-                continue
-            value = getattr(self, f.name)
-            if value is not None:
-                out[f.name] = value
-        return out
+        return dict(self.values)
 
     @staticmethod
     def field_order() -> tuple[str, ...]:
-        return _REPORT_FIELD_ORDER
+        return _FIELDS
+
+
+def report_values(p: ScenarioParams, model: str = "both", slack: float = 1.0) -> dict:
+    """Every report field of the requested model(s), in output order.
+
+    Bounds are computed even when the far-field proxy fails; the
+    geometry_valid field carries that information instead of an error.
+    """
+    rows = _rows(model)
+    if not p.override_geometry:
+        p = replace(p, override_geometry=True)
+    values: dict = {}
+    for name, _, _, value in rows:
+        values[name] = value(p, slack, values)
+    return values
+
+
+def report_provenance(coupling: CouplingKind, model: str = "both") -> dict:
+    """Formula provenance of every report field of the requested model(s)."""
+    _rows(model)
+    return dict(_PROVENANCE[coupling, model])
 
 
 def feasibility_report(
     p: ScenarioParams, model: str = "both", slack: float = 1.0
 ) -> BoundsReport:
-    """Evaluate every bound for the requested model(s) and flag feasibility.
-
-    Bounds are computed even when the far-field proxy fails; the
-    geometry_valid flag carries that information instead of an error.
-    """
-    if model not in ("displacement", "phase", "both"):
-        raise InvalidInputError(
-            f"model must be displacement, phase, or both, got {model!r}"
-        )
-    p_eval = replace(p, override_geometry=True)
-    coulomb = p.coupling is CouplingKind.COULOMB
-    m_eff = p.effective_source_mass
-    source = p.source_strength
-    probe = p.probe_strength
-    pair = p.pair_coupling
-    threshold = p.r_over_d_min
-
-    src_sym = "q_A/q_P" if coulomb else "m_A/m_P"
-    prb_sym = "q_B/q_P" if coulomb else "m_B/m_P"
-    pair_sym = "q_A*q_B/q_P^2" if coulomb else "m_A*m_B/m_P^2"
-    prov = {
-        "geometry_valid": "R/d >= r_over_d_min",
-        "source_planck_ratio": src_sym,
-        "probe_planck_ratio": prb_sym,
-        "pair_planck_ratio": pair_sym,
-        "source_exceeds_planck": f"{src_sym} >= r_over_d_min",
-        "probe_exceeds_planck": f"{prb_sym} >= r_over_d_min",
-        "pair_exceeds_planck_sq": f"{pair_sym} >= r_over_d_min",
-    }
-    values: dict = {
-        "geometry_valid": p.geometry_valid,
-        "source_planck_ratio": source,
-        "probe_planck_ratio": probe,
-        "pair_planck_ratio": pair,
-        "source_exceeds_planck": source >= threshold,
-        "probe_exceeds_planck": probe >= threshold,
-        "pair_exceeds_planck_sq": pair >= threshold,
-    }
-
-    if model in ("displacement", "both"):
-        tb_d = tb_displacement(p_eval, slack)
-        values["tb_displacement"] = tb_d
-        values["ta_min_round_trip"] = ta_min_round_trip(m_eff, p.d)
-        values["ta_min_one_way"] = ta_min_one_way(m_eff, p.d)
-        values["r_max_displacement"] = m_eff * p.d / (2.0 * slack)
-        values["displacement_backreaction_free"] = causal.backreaction_free(tb_d, p.r)
-        prov.update(
-            {
-                "tb_displacement": "sqrt(2*slack*dx_min*m_B*R^3/(K*d))",
-                "ta_min_round_trip": "(16/27)*(K/m_B)*d",
-                "ta_min_one_way": "(2/27)*(K/m_B)*d",
-                "r_max_displacement": "(K/m_B)*d/(2*slack)",
-                "displacement_backreaction_free": "tb_displacement < R/c",
-            }
-        )
-
-    if model in ("phase", "both"):
-        values["tb_phase_exact"] = tb_phase(p_eval, "exact")
-        values["tb_phase_approx"] = tb_phase(p_eval, "approx")
-        r_max_p = pair * p.d / math.pi
-        values["r_max_phase"] = r_max_p
-        values["phase_backreaction_free"] = p.r < r_max_p
-        prov.update(
-            {
-                "tb_phase_exact": "pi*R*(R+d)/(K*d)",
-                "tb_phase_approx": "pi*R^2/(K*d)",
-                "r_max_phase": "K*d/pi",
-                "phase_backreaction_free": "R < K*d/pi",
-            }
-        )
-
-    return BoundsReport(provenance=prov, **values)
+    """Evaluate every bound for the requested model(s) and flag feasibility."""
+    return BoundsReport(report_values(p, model, slack), report_provenance(p.coupling, model))

@@ -6,7 +6,8 @@ timing verdict).  Inputs accept unit suffixes kg, m, s, C (SI) and mp, lp,
 tp (Planck); bare numbers follow --units (default planck).  Output is
 deterministic: identical invocations produce identical bytes.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical non-convergence.
+Exit codes: 0 success, 2 invalid input or a result out of floating-point
+range, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import __version__, bounds, causal, dynamics
 from .errors import ConvergenceError, InvalidInputError
@@ -147,13 +148,19 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ArithmeticError("a result is infinite or NaN") from None
+    _emit(args, text + "\n")
 
 
-def _csv(comments: list[str], header: list[str], rows: list[list[str]]) -> str:
+def _csv(comments: list[str], header: list[str], rows) -> str:
+    """CSV text; each row is formatted as it arrives, so a generator of
+    rows is never held whole."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -209,90 +216,55 @@ def _cmd_causal(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter over a grid, everything else held fixed."""
-
-    parameter: str
-    lo: float
-    hi: float
-    points: int
-    scale: str  # "linear" | "log"
-    fixed: ScenarioParams
-
-    def __post_init__(self) -> None:
-        if self.points < 2:
-            raise InvalidInputError(f"points must be >= 2, got {self.points}")
-        if not self.lo < self.hi:
-            raise InvalidInputError(
-                f"sweep needs from < to, got {self.lo!r} .. {self.hi!r}"
-            )
-        if self.scale == "log" and self.lo <= 0.0:
-            raise InvalidInputError("log scale requires from > 0")
-
-    def grid(self) -> list[float]:
-        n = self.points
-        if self.scale == "log":
-            la, lb = math.log10(self.lo), math.log10(self.hi)
-            return [10.0 ** (la + i * (lb - la) / (n - 1)) for i in range(n)]
-        return [self.lo + i * (self.hi - self.lo) / (n - 1) for i in range(n)]
+def _grid(lo: float, hi: float, points: int, log: bool):
+    """points values from lo to hi, evenly spaced on a linear or log scale."""
+    if points < 2:
+        raise InvalidInputError(f"points must be >= 2, got {points}")
+    if not lo < hi:
+        raise InvalidInputError(f"sweep needs from < to, got {lo!r} .. {hi!r}")
+    n = points - 1
+    if not log:
+        return (lo + i * (hi - lo) / n for i in range(points))
+    if lo <= 0.0:
+        raise InvalidInputError("log scale requires from > 0")
+    la, lb = math.log10(lo), math.log10(hi)
+    return (10.0 ** (la + i * (lb - la) / n) for i in range(points))
 
 
 def _cmd_sweep(args) -> int:
     name = args.sweep
     if name == "eta":
-        return _sweep_eta(args)
-    require = tuple(f for f in ("m_a", "d", "r") if f != name)
-    params, _ = _scenario_from_args(args, require=require, skip=(name,))
-    kind = _SCENARIO_FLAG_KINDS[name]
-    lo, _ = _parse_quantity(args.sweep_from, kind, args.units)
-    hi, _ = _parse_quantity(args.to, kind, args.units)
-    spec = SweepSpec(name, lo, hi, args.points, "log" if args.log else "linear", params)
-    grid = spec.grid()
+        params, _ = _scenario_from_args(args, require=("m_a", "d"), skip=("r",))
+        lo = _parse_bare(args.sweep_from, "eta from")
+        hi = _parse_bare(args.to, "eta to")
+        provenance = dict(bounds.ETA_COLUMNS)
+        m_eff, d = params.effective_source_mass, params.d
 
-    first = bounds.feasibility_report(replace(params, **{name: grid[0]}), args.model, args.slack)
-    columns = [f for f in bounds.BoundsReport.field_order() if f in first.as_dict()]
+        def row(eta):
+            return (eta, *bounds.eta_row(eta, m_eff, d))
+
+    else:
+        require = tuple(f for f in ("m_a", "d", "r") if f != name)
+        params, _ = _scenario_from_args(args, require=require, skip=(name,))
+        kind = _SCENARIO_FLAG_KINDS[name]
+        lo, _ = _parse_quantity(args.sweep_from, kind, args.units)
+        hi, _ = _parse_quantity(args.to, kind, args.units)
+        provenance = bounds.report_provenance(params.coupling, args.model)
+        # Set once, so report_values need not copy each row's params again.
+        base = replace(params, override_geometry=True)
+
+        def row(value):
+            p = replace(base, **{name: value})
+            return (value, *bounds.report_values(p, args.model, args.slack).values())
+
+    grid = _grid(lo, hi, args.points, args.log)
     comments = [
         f"interferobounds {__version__}",
         f"sweep {name} from {_fmt(lo)} to {_fmt(hi)} points {args.points} "
-        f"scale {spec.scale} (planck units)",
+        f"scale {'log' if args.log else 'linear'} (planck units)",
     ]
-    comments.extend(f"provenance: {c} = {first.provenance[c]}" for c in columns)
-    rows = []
-    for value in grid:
-        report = bounds.feasibility_report(
-            replace(params, **{name: value}), args.model, args.slack
-        )
-        data = report.as_dict()
-        rows.append([_fmt(value)] + [_fmt(data[c]) for c in columns])
-    _emit(args, _csv(comments, [name] + columns, rows))
-    return 0
-
-
-def _sweep_eta(args) -> int:
-    params, _ = _scenario_from_args(args, require=("m_a", "d"), skip=("r",))
-    lo = _parse_bare(args.sweep_from, "eta from")
-    hi = _parse_bare(args.to, "eta to")
-    spec = SweepSpec("eta", lo, hi, args.points, "log" if args.log else "linear", params)
-    grid = spec.grid()
-    comments = [
-        f"interferobounds {__version__}",
-        f"sweep eta from {_fmt(lo)} to {_fmt(hi)} points {args.points} "
-        f"scale {spec.scale} (planck units)",
-        "provenance: tb_eta = 4*eta^3*(K/m_B)*d",
-        "provenance: ta_lower_bound = 4*(eta^2 - eta^3)*(K/m_B)*d",
-        "provenance: ta_tb_total = tb_eta + ta_lower_bound",
-        "provenance: r_implied = 2*eta^2*(K/m_B)*d",
-    ]
-    m_eff = params.effective_source_mass
-    header = ["eta", "tb_eta", "ta_lower_bound", "ta_tb_total", "r_implied"]
-    rows = []
-    for eta in grid:
-        tb = bounds.tb_eta(eta, m_eff, params.d)
-        ta = bounds.ta_lower_bound(eta, m_eff, params.d)
-        r_implied = 2.0 * eta * eta * m_eff * params.d
-        rows.append([_fmt(v) for v in (eta, tb, ta, ta + tb, r_implied)])
-    _emit(args, _csv(comments, header, rows))
+    comments.extend(f"provenance: {c} = {f}" for c, f in provenance.items())
+    _emit(args, _csv(comments, [name, *provenance], map(row, grid)))
     return 0
 
 
@@ -324,25 +296,20 @@ def _cmd_simulate(args) -> int:
     if args.model == "displacement":
         header = ["t", "mean_x_l", "mean_x_r", "sigma_x", "overlap_magnitude"]
         comments.append("positive x points from the probe toward the source")
-        rows = []
-        for t in times:
+
+        def row(t):
             pair = dynamics.displacement_branches(params, sigma0, t)
-            rows.append(
-                [
-                    _fmt(t),
-                    _fmt(pair.left.mean_x),
-                    _fmt(pair.right.mean_x),
-                    _fmt(pair.left.sigma_x),
-                    _fmt(pair.overlap_magnitude),
-                ]
-            )
+            left, right = pair.left, pair.right
+            return t, left.mean_x, right.mean_x, left.sigma_x, pair.overlap_magnitude
+
     else:
         header = ["t", "delta_phi", "overlap_magnitude"]
-        rows = []
-        for t in times:
+
+        def row(t):
             rec = dynamics.phase_evolution(params, t)
-            rows.append([_fmt(t), _fmt(rec.delta_phi), _fmt(rec.overlap_magnitude)])
-    _emit(args, _csv(comments, header, rows))
+            return t, rec.delta_phi, rec.overlap_magnitude
+
+    _emit(args, _csv(comments, header, map(row, times)))
     return 0
 
 
@@ -470,6 +437,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except InvalidInputError as exc:
         _emit_error("invalid-input", exc)
+        return 2
+    except ArithmeticError as exc:
+        # Overflow, underflow to a zero divisor, or a result that strict
+        # JSON cannot hold.
+        _emit_error("out-of-range", f"result outside the floating-point range: {exc}")
         return 2
     except ConvergenceError as exc:
         _emit_error("no-convergence", exc)

@@ -48,7 +48,6 @@ __all__ = [
     "FORCE",
     "ENERGY",
     "ACTION",
-    "make_quantity",
     "to_planck",
     "from_planck",
 ]
@@ -149,11 +148,6 @@ class Quantity:
             raise InvalidInputError(
                 f"cannot {op} quantities with dimensions {self.dim} and {other.dim}"
             )
-
-
-def make_quantity(value: float, dim: Dimension) -> Quantity:
-    """Tag a finite real with its dimension; no normalization applied."""
-    return Quantity(value, dim)
 
 
 # CODATA 2018, SI.

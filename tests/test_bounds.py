@@ -441,3 +441,32 @@ def test_report_field_order_covers_all_fields():
     p = ScenarioParams(m_a=1e6, d=1e6, r=1e8)
     rep = feasibility_report(p)
     assert set(rep.as_dict()) == set(BoundsReport.field_order())
+
+
+@pytest.mark.parametrize("slack", [1.0, 2.5])
+def test_report_fields_equal_their_public_functions(slack):
+    rng = np.random.default_rng(43)
+    for coulomb in (False, True) * 50:
+        kw = dict(
+            m_a=float(10.0 ** rng.uniform(6, 12)),
+            d=float(10.0 ** rng.uniform(0, 6)),
+            m_b=float(10.0 ** rng.uniform(-2, 4)),
+        )
+        kw["r"] = kw["d"] * float(10.0 ** rng.uniform(2, 6))
+        if coulomb:
+            kw.update(
+                coupling=CouplingKind.COULOMB,
+                q_a=float(10.0 ** rng.uniform(3, 6)),
+                q_b=float(10.0 ** rng.uniform(0, 3)),
+                delta_x_min=float(10.0 ** rng.uniform(0.5, 3)),
+            )
+        p = ScenarioParams(**kw)
+        m_eff = p.effective_source_mass
+        rep = feasibility_report(p, slack=slack)
+        assert rep.tb_displacement == tb_displacement(p, slack)
+        assert rep.ta_min_round_trip == ta_min_round_trip(m_eff, p.d)
+        assert rep.ta_min_one_way == ta_min_one_way(m_eff, p.d)
+        assert rep.r_max_displacement == r_max_displacement(m_eff, p.d, slack)
+        assert rep.tb_phase_exact == tb_phase(p, "exact")
+        assert rep.tb_phase_approx == tb_phase(p, "approx")
+        assert rep.r_max_phase == r_max_phase(p.source_strength, p.probe_strength, p.d)

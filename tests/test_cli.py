@@ -245,14 +245,48 @@ def test_geometry_gate_and_override():
 
 
 def test_bad_sweep_spec_rejected():
-    base = ["sweep", "--sweep", "eta", "--m-a", "1mp", "--d", "1lp"]
-    for extra in (
-        ["--from", "0.5", "--to", "0.1", "--points", "5"],
-        ["--from", "0.1", "--to", "0.5", "--points", "1"],
-        ["--from", "-0.5", "--to", "0.5", "--points", "5", "--log"],
+    eta = ["sweep", "--sweep", "eta", "--m-a", "1mp", "--d", "1lp"]
+    r = ["sweep", "--sweep", "r", "--m-a", "1e9mp", "--d", "1e4lp"]
+    for argv, fragment in (
+        (eta + ["--from", "0.5", "--to", "0.1", "--points", "5"], "from < to"),
+        (eta + ["--from", "0.1", "--to", "0.5", "--points", "1"], "points"),
+        (eta + ["--from", "-0.5", "--to", "0.5", "--points", "5", "--log"], "log scale"),
+        (r + ["--from", "1e8lp", "--to", "1e6lp", "--points", "3"], "from < to"),
+        (r + ["--from", "1e6lp", "--to", "1e8lp", "--points", "1"], "points"),
+        (r + ["--from", "0lp", "--to", "1e8lp", "--points", "3", "--log"], "log scale"),
     ):
-        proc = run_cli(base + extra)
-        assert proc.returncode == 2, extra
+        proc = run_cli(argv)
+        assert proc.returncode == 2, argv
+        err = json.loads(proc.stdout)["error"]
+        assert err["code"] == "invalid-input"
+        assert fragment in err["message"], argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # r**3 overflows.
+        ["bounds", "--m-a", "1e-300mp", "--d", "1e200lp", "--r", "1e300lp",
+         "--model", "displacement"],
+        # K = m_a*m_b underflows to zero and divides.
+        ["bounds", "--m-a", "1e-200mp", "--m-b", "1e-200mp", "--d", "1e3lp", "--r", "1e6lp"],
+        ["simulate", "--model", "displacement", "--m-a", "1e9mp", "--d", "1e6lp",
+         "--r", "1e8lp", "--t-max", "1e300tp", "--steps", "2"],
+        # Results overflow to inf and nan, which strict JSON cannot hold.
+        ["bounds", "--m-a", "1e300mp", "--m-b", "1e300mp", "--d", "1e3lp", "--r", "1e6lp"],
+        ["causal", "--t-a", "1e308tp", "--t-b", "1e308tp", "--r", "1lp"],
+    ],
+)
+def test_out_of_range_results_emit_json_error(argv):
+    proc = run_cli(argv)
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    err = json.loads(proc.stdout, parse_constant=_reject_constant)["error"]
+    assert err["code"] == "out-of-range"
 
 
 def test_simulate_non_convergence_exits_3():

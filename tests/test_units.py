@@ -14,7 +14,6 @@ from interferobounds.units import (
     Dimension,
     Quantity,
     from_planck,
-    make_quantity,
     to_planck,
 )
 
@@ -32,13 +31,13 @@ Q_P_PUBLISHED = 1.875546e-18
 
 
 def test_make_quantity_constructor_identity():
-    q = make_quantity(2.0, MASS)
+    q = Quantity(2.0, MASS)
     assert q.value == 2.0
     assert q.dim == MASS
 
 
 def test_make_quantity_zero():
-    q = make_quantity(0.0, LENGTH)
+    q = Quantity(0.0, LENGTH)
     assert q.value == 0.0
     assert q.dim == LENGTH
 
@@ -46,7 +45,7 @@ def test_make_quantity_zero():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_make_quantity_rejects_non_finite(bad):
     with pytest.raises(InvalidInputError):
-        make_quantity(bad, TIME)
+        Quantity(bad, TIME)
 
 
 def test_addition_requires_same_dimension():
