@@ -32,7 +32,7 @@ def _check_mode(mode: str) -> None:
 
 
 def _geometry_gate(p: ScenarioParams) -> None:
-    if not (p.geometry_valid or p.override_geometry):
+    if not (p.override_geometry or p.geometry_valid):
         raise GeometryError(
             f"far-field formulas need r/d >= {p.r_over_d_min!r}, got "
             f"r/d = {p.r / p.d!r}; set override_geometry to evaluate anyway"
@@ -51,6 +51,11 @@ def ta_tb_min_round_trip(r: float) -> float:
     if r <= 0.0:
         raise InvalidInputError(f"nonpositive length r = {r!r}")
     return 2.0 * r
+
+
+def _check_slack(slack: float) -> None:
+    if not 0.0 < slack < math.inf:
+        raise InvalidInputError(f"slack must be finite and positive, got {slack!r}")
 
 
 def differential_force(p: ScenarioParams, mode: str = "approx") -> float:
@@ -86,8 +91,7 @@ def tb_displacement(p: ScenarioParams, slack: float = 1.0) -> float:
     slack scales the shift target (slack*dx_min); 1.0 is the minimal
     physically possible measurement time.
     """
-    if slack <= 0.0:
-        raise InvalidInputError(f"nonpositive slack = {slack!r}")
+    _check_slack(slack)
     _geometry_gate(p)
     dx = p.resolved_delta_x_min
     return math.sqrt(2.0 * slack * dx * p.m_b * p.r ** 3 / (p.pair_coupling * p.d))
@@ -225,8 +229,7 @@ def r_max_displacement(m_a: float, d: float, slack: float = 1.0) -> float:
         raise InvalidInputError(f"nonpositive mass m_a = {m_a!r}")
     if d <= 0.0:
         raise InvalidInputError(f"nonpositive length d = {d!r}")
-    if slack <= 0.0:
-        raise InvalidInputError(f"nonpositive slack = {slack!r}")
+    _check_slack(slack)
     return m_a * d / (2.0 * slack)
 
 

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from . import __version__, bounds, causal, dynamics
 from .errors import ConvergenceError, InvalidInputError
-from .scenario import CouplingKind, ScenarioParams
+from .scenario import CouplingKind, ScenarioParams, replace_swept
 from .units import CHARGE, LENGTH, MASS, TIME, Quantity, from_planck, to_planck
 
 _TOKEN_RE = re.compile(
@@ -67,10 +67,25 @@ def _parse_bare(text: str, name: str) -> float:
         raise InvalidInputError(f"{name} must be a plain number, got {text!r}") from None
 
 
+def _slack(text: str) -> float:
+    """--slack: a finite positive number.  Checked as it is parsed, not only
+    by the formulas that read it, because `bounds --model phase` echoes the
+    slack without reading it."""
+    try:
+        value = float(text)
+        bounds._check_slack(value)
+    except ValueError as exc:  # InvalidInputError is a ValueError
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+# How every number is written as text: 17 significant digits give back the
+# same double when read, and a bool prints as 1 or 0.
+_NUMBER = "%.17g"
+
+
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return format(value, ".17g")
+    return _NUMBER % value
 
 
 def _echo_entry(planck: float, si: float, kind: str) -> dict:
@@ -157,11 +172,15 @@ def _emit_json(args, payload: dict) -> None:
 
 def _csv(comments: list[str], header: list[str], rows) -> str:
     """CSV text; each row is formatted as it arrives, so a generator of
-    rows is never held whole."""
+    rows is never held whole.  Raises ArithmeticError if a value is
+    infinite or NaN, before anything is written."""
+    template = ",".join([_NUMBER] * len(header))
+    body = "\n".join([template % row for row in rows])
+    # A finite number written with _NUMBER holds no letter n; inf and nan do.
+    if "n" in body:
+        raise ArithmeticError("a CSV value is infinite or NaN")
     lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([*lines, ",".join(header), body, ""])
 
 
 def _cmd_bounds(args) -> int:
@@ -254,7 +273,7 @@ def _cmd_sweep(args) -> int:
         base = replace(params, override_geometry=True)
 
         def row(value):
-            p = replace(base, **{name: value})
+            p = replace_swept(base, name, value)
             return (value, *bounds.report_values(p, args.model, args.slack).values())
 
     grid = _grid(lo, hi, args.points, args.log)
@@ -356,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="JSON feasibility report for one scenario")
     _add_scenario_flags(b, required=("m_a", "d", "r"))
     b.add_argument("--model", choices=("displacement", "phase", "both"), default="both")
-    b.add_argument("--slack", type=float, default=1.0,
+    b.add_argument("--slack", type=_slack, default=1.0,
                    help="multiplier on the displacement target (default 1)")
     _add_units_flags(b)
     b.set_defaults(func=_cmd_bounds)
@@ -369,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--points", type=int, required=True)
     s.add_argument("--log", action="store_true", help="logarithmic grid")
     s.add_argument("--model", choices=("displacement", "phase", "both"), default="both")
-    s.add_argument("--slack", type=float, default=1.0)
+    s.add_argument("--slack", type=_slack, default=1.0)
     _add_units_flags(s)
     s.set_defaults(func=_cmd_sweep)
 

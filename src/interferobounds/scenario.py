@@ -28,6 +28,12 @@ def _check_positive(name: str, kind: str, value: float) -> None:
         raise InvalidInputError(f"nonpositive {kind} {name} = {value!r}")
 
 
+# The fields a sweep varies, with the kind their error messages name.  No
+# check in ScenarioParams.__post_init__ reads two of them together, or one
+# of them with another field, which is what makes replace_swept sound.
+_SWEPT_FIELDS = {"m_a": "mass", "m_b": "mass", "d": "length", "r": "length"}
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """One source/probe configuration.
@@ -57,10 +63,8 @@ class ScenarioParams:
     override_geometry: bool = False
 
     def __post_init__(self) -> None:
-        _check_positive("m_a", "mass", self.m_a)
-        _check_positive("m_b", "mass", self.m_b)
-        _check_positive("d", "length", self.d)
-        _check_positive("r", "length", self.r)
+        for name, kind in _SWEPT_FIELDS.items():
+            _check_positive(name, kind, getattr(self, name))
         _check_positive("r_over_d_min", "ratio", self.r_over_d_min)
         if self.coupling is CouplingKind.COULOMB and (self.q_a is None or self.q_b is None):
             raise InvalidInputError("coulomb coupling requires q_a and q_b")
@@ -115,3 +119,18 @@ class ScenarioParams:
                 "coulomb displacement bounds require an explicit delta_x_min"
             )
         return 1.0
+
+
+def replace_swept(p: ScenarioParams, name: str, value: float) -> ScenarioParams:
+    """dataclasses.replace(p, **{name: value}) for name m_a, m_b, d or r,
+    without validating p's other fields again: only value is checked, with
+    the message __post_init__ would give."""
+    kind = _SWEPT_FIELDS.get(name)
+    if kind is None:
+        raise InvalidInputError(f"cannot sweep {name!r}; choose one of {tuple(_SWEPT_FIELDS)}")
+    _check_positive(name, kind, value)
+    fields = p.__dict__.copy()
+    fields[name] = value
+    copy = object.__new__(ScenarioParams)
+    object.__setattr__(copy, "__dict__", fields)
+    return copy

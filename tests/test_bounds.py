@@ -24,7 +24,7 @@ from interferobounds.bounds import (
     tb_phase,
 )
 from interferobounds.errors import GeometryError, InvalidInputError
-from interferobounds.scenario import CouplingKind, ScenarioParams
+from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
 from interferobounds.units import LENGTH, TIME, Quantity, from_planck, to_planck
 
 
@@ -163,6 +163,14 @@ def test_tb_displacement_slack_scaling():
     assert tb_displacement(p, slack=4.0) == pytest.approx(
         2.0 * tb_displacement(p), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("slack", [0.0, -1.0, math.nan, math.inf])
+def test_slack_must_be_finite_and_positive(slack):
+    with pytest.raises(InvalidInputError, match="slack"):
+        tb_displacement(scenario(r=1e4), slack)
+    with pytest.raises(InvalidInputError, match="slack"):
+        r_max_displacement(1.0, 1.0, slack)
 
 
 def test_tb_displacement_coulomb_needs_explicit_floor():
@@ -470,3 +478,27 @@ def test_report_fields_equal_their_public_functions(slack):
         assert rep.tb_phase_exact == tb_phase(p, "exact")
         assert rep.tb_phase_approx == tb_phase(p, "approx")
         assert rep.r_max_phase == r_max_phase(p.source_strength, p.probe_strength, p.d)
+
+
+@pytest.mark.parametrize("coulomb", [False, True])
+@pytest.mark.parametrize("name", ["m_a", "m_b", "d", "r"])
+def test_replace_swept_rejects_what_replace_rejects(name, coulomb):
+    kw = dict(m_a=1e9, d=1e4, r=1e8, m_b=2.0, override_geometry=True)
+    if coulomb:
+        kw.update(coupling=CouplingKind.COULOMB, q_a=1e3, q_b=10.0, delta_x_min=3.0)
+    base = ScenarioParams(**kw)
+    for value in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 3.5):
+        try:
+            expected = replace(base, **{name: value})
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError) as got:
+                replace_swept(base, name, value)
+            assert str(got.value) == str(exc)
+        else:
+            got = replace_swept(base, name, value)
+            assert type(got) is ScenarioParams
+            assert vars(got) == vars(expected)
+            assert got == expected and hash(got) == hash(expected)
+    assert base == ScenarioParams(**kw)
+    with pytest.raises(InvalidInputError, match="cannot sweep"):
+        replace_swept(base, "q_a", 1.0)

@@ -1,12 +1,16 @@
 import json
+import math
 import pathlib
+import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from interferobounds import __version__
+from interferobounds import __version__, bounds, cli
 from interferobounds.cli import main
+from interferobounds.scenario import CouplingKind, ScenarioParams
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
@@ -194,6 +198,11 @@ def test_unwritable_out_is_invalid_input(tmp_path):
           "--model", "nope"], "--model"),
         (["causal", "--t-a", "1tp", "--t-b", "1tp", "--r", "1lp", "--bogus"], "--bogus"),
         ([], "command"),
+        (["bounds", "--m-a", "1e6mp", "--d", "1e6lp", "--r", "1e8lp", "--slack", "nan"],
+         "slack"),
+        # The phase model never reads slack, but the JSON echo would hold it.
+        (["bounds", "--m-a", "1e6mp", "--d", "1e6lp", "--r", "1e8lp", "--model", "phase",
+          "--slack", "inf"], "slack"),
     ],
 )
 def test_usage_errors_emit_json_error(argv, fragment):
@@ -279,6 +288,11 @@ def _reject_constant(name):
         # Results overflow to inf and nan, which strict JSON cannot hold.
         ["bounds", "--m-a", "1e300mp", "--m-b", "1e300mp", "--d", "1e3lp", "--r", "1e6lp"],
         ["causal", "--t-a", "1e308tp", "--t-b", "1e308tp", "--r", "1lp"],
+        # CSV rows of inf and nan.
+        ["sweep", "--sweep", "r", "--from", "1e6lp", "--to", "1e8lp", "--points", "2",
+         "--m-a", "1e300mp", "--m-b", "1e300mp", "--d", "1e3lp"],
+        ["sweep", "--sweep", "eta", "--from", "0.1", "--to", "0.9", "--points", "2",
+         "--m-a", "1e300mp", "--d", "1e300lp"],
     ],
 )
 def test_out_of_range_results_emit_json_error(argv):
@@ -287,6 +301,15 @@ def test_out_of_range_results_emit_json_error(argv):
     assert b"Traceback" not in proc.stderr
     err = json.loads(proc.stdout, parse_constant=_reject_constant)["error"]
     assert err["code"] == "out-of-range"
+
+
+def test_non_finite_csv_writes_no_out_file(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--sweep", "eta", "--from", "0.1", "--to", "0.9", "--points", "2",
+               "--m-a", "1e300mp", "--d", "1e300lp", "--out", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "out-of-range"
+    assert not out.exists()
 
 
 def test_simulate_non_convergence_exits_3():
@@ -351,6 +374,68 @@ def test_two_point_sweep_matches_bounds_runs():
         ).stdout)
         for col in ("tb_displacement", "ta_min_round_trip", "r_max_phase"):
             assert row[header.index(col)] == env["results"][col]
+
+
+def _sweep_case(rng, name, coulomb):
+    """A seeded far-field scenario, its fixed-field flags, and a grid around
+    its value of name."""
+    kw = {"m_a": 10.0 ** rng.uniform(6, 12), "m_b": 10.0 ** rng.uniform(-2, 4),
+          "d": 10.0 ** rng.uniform(0, 6)}
+    kw["r"] = kw["d"] * 10.0 ** rng.uniform(2, 6)
+    units = {"m_a": "mp", "m_b": "mp", "d": "lp", "r": "lp"}
+    flags = []
+    for field, unit in units.items():
+        if field != name:
+            flags += [f"--{field.replace('_', '-')}", f"{kw[field]!r}{unit}"]
+    if coulomb:
+        kw.update(coupling=CouplingKind.COULOMB, q_a=10.0 ** rng.uniform(3, 6),
+                  q_b=10.0 ** rng.uniform(0, 3), delta_x_min=10.0 ** rng.uniform(0.5, 3))
+        flags += ["--coupling", "coulomb", "--q-a", repr(kw["q_a"]),
+                  "--q-b", repr(kw["q_b"]), "--dx-min", f"{kw['delta_x_min']!r}lp"]
+    grid = ["--from", f"{kw[name] / 10.0!r}{units[name]}",
+            "--to", f"{kw[name] * 10.0!r}{units[name]}"]
+    return ScenarioParams(**kw), grid + flags
+
+
+def _old_fmt(value):
+    """The number format the CSV had before it used one row template."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return format(value, ".17g")
+
+
+def test_sweep_rows_equal_report_values_of_replaced_params(capsys):
+    rng = random.Random(47)
+    for name in ("m_a", "m_b", "d", "r"):
+        for model in ("displacement", "phase", "both"):
+            for coulomb in (False, True):
+                base, flags = _sweep_case(rng, name, coulomb)
+                argv = ["sweep", "--sweep", name, "--points", "9", "--log",
+                        "--model", model, "--slack", "2.5", *flags]
+                assert main(argv) == 0, argv
+                lines = [l for l in capsys.readouterr().out.splitlines()
+                         if not l.startswith("#")][1:]
+                assert len(lines) == 9
+                for line in lines:
+                    value = float(line.split(",", 1)[0])
+                    p = replace(base, **{name: value})
+                    row = (value, *bounds.report_values(p, model, 2.5).values())
+                    assert line == ",".join(map(_old_fmt, row)), argv
+
+
+_NUMBERS = [True, False, 0.0, -0.0, 5e-324, 2.225073858507201e-308, 1.0 / 3.0,
+            -1e300, 1.7976931348623157e308, 1e16, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", _NUMBERS, ids=repr)
+def test_row_template_matches_number_format(value):
+    text = _old_fmt(value)
+    assert cli._fmt(value) == text
+    if math.isfinite(value):
+        assert cli._csv(["c"], ["a", "b"], [(value, -1.5)]) == f"# c\na,b\n{text},-1.5\n"
+    else:
+        with pytest.raises(ArithmeticError):
+            cli._csv(["c"], ["a", "b"], [(1.0, 2.0), (value, 1.0)])
 
 
 # --- simulate semantics ---------------------------------------------------------
