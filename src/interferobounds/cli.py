@@ -24,13 +24,34 @@ from .errors import ConvergenceError, InvalidInputError
 from .scenario import CouplingKind, ScenarioParams, replace_swept
 from .units import CHARGE, LENGTH, MASS, TIME, Quantity, from_planck, to_planck
 
+# Each kind of quantity: its dimension, SI unit name and Planck suffix.
+# Charges take no Planck suffix; a bare number under --units planck is one.
+_KINDS = {
+    "mass": (MASS, "kg", "mp"),
+    "length": (LENGTH, "m", "lp"),
+    "time": (TIME, "s", "tp"),
+    "charge": (CHARGE, "C", None),
+}
+# Unit suffix -> (kind, unit system).
+_SUFFIXES = {unit: (kind, "si") for kind, (_, unit, _) in _KINDS.items()}
+_SUFFIXES.update({unit: (kind, "planck") for kind, (_, _, unit) in _KINDS.items() if unit})
 _TOKEN_RE = re.compile(
-    r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)(kg|mp|lp|tp|m|s|C)?$"
+    rf"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)({'|'.join(_SUFFIXES)})?$"
 )
-_PLANCK_SUFFIX = {"mp": "mass", "lp": "length", "tp": "time"}
-_SI_SUFFIX = {"kg": "mass", "m": "length", "s": "time", "C": "charge"}
-_DIM_FOR = {"mass": MASS, "length": LENGTH, "time": TIME, "charge": CHARGE}
-_SI_UNIT_NAME = {"mass": "kg", "length": "m", "time": "s", "charge": "C"}
+
+# Each flag (by argparse dest) that takes a quantity, and the quantity's kind.
+_QUANTITY_FLAGS = {
+    "m_a": "mass",
+    "m_b": "mass",
+    "d": "length",
+    "r": "length",
+    "q_a": "charge",
+    "q_b": "charge",
+    "dx_min": "length",
+    "t_a": "time",
+    "t_b": "time",
+    "sigma0": "length",
+}
 
 
 def _parse_quantity(text: str, kind: str, units_mode: str) -> tuple[float, float]:
@@ -42,22 +63,32 @@ def _parse_quantity(text: str, kind: str, units_mode: str) -> tuple[float, float
     suffix = match.group(2)
     if suffix is None:
         system = units_mode
-    elif suffix in _PLANCK_SUFFIX:
-        system = "planck"
-        if _PLANCK_SUFFIX[suffix] != kind:
-            raise InvalidInputError(
-                f"{text!r} has dimension {_PLANCK_SUFFIX[suffix]}, expected {kind}"
-            )
     else:
-        system = "si"
-        if _SI_SUFFIX[suffix] != kind:
-            raise InvalidInputError(
-                f"{text!r} has dimension {_SI_SUFFIX[suffix]}, expected {kind}"
-            )
-    dim = _DIM_FOR[kind]
+        suffix_kind, system = _SUFFIXES[suffix]
+        if suffix_kind != kind:
+            raise InvalidInputError(f"{text!r} has dimension {suffix_kind}, expected {kind}")
+    dim = _KINDS[kind][0]
     if system == "planck":
         return value, from_planck(value, dim).value
     return to_planck(Quantity(value, dim)), value
+
+
+def _read_quantities(args, names) -> tuple[dict, dict]:
+    """Parse the named quantity flags that were given into ({name: planck
+    value}, input echo).  m_a, d and r must be given wherever they are named."""
+    planck: dict = {}
+    echo: dict = {"units": args.units}
+    for name in names:
+        raw = getattr(args, name)
+        if raw is None:
+            if name in ("m_a", "d", "r"):
+                raise InvalidInputError(f"missing required parameter --{name.replace('_', '-')}")
+            continue
+        kind = _QUANTITY_FLAGS[name]
+        p_val, si_val = _parse_quantity(raw, kind, args.units)
+        planck[name] = p_val
+        echo[name] = {"planck": p_val, "si": si_val, "si_unit": _KINDS[kind][1]}
+    return planck, echo
 
 
 def _parse_bare(text: str, name: str) -> float:
@@ -88,37 +119,11 @@ def _fmt(value) -> str:
     return _NUMBER % value
 
 
-def _echo_entry(planck: float, si: float, kind: str) -> dict:
-    return {"planck": planck, "si": si, "si_unit": _SI_UNIT_NAME[kind]}
-
-
-_SCENARIO_FLAG_KINDS = {
-    "m_a": "mass",
-    "m_b": "mass",
-    "d": "length",
-    "r": "length",
-    "q_a": "charge",
-    "q_b": "charge",
-    "dx_min": "length",
-}
-
-
-def _scenario_from_args(args, require: tuple[str, ...], skip: tuple[str, ...] = ()):
+def _scenario_from_args(args, skip: tuple[str, ...] = ()):
     """Build ScenarioParams from parsed flags; returns (params, input_echo)."""
-    units_mode = args.units
-    echo: dict = {"units": units_mode, "coupling": args.coupling}
-    planck: dict = {}
-    for flag, kind in _SCENARIO_FLAG_KINDS.items():
-        if flag in skip:
-            continue
-        raw = getattr(args, flag, None)
-        if raw is None:
-            if flag in require:
-                raise InvalidInputError(f"missing required parameter --{flag.replace('_', '-')}")
-            continue
-        p_val, si_val = _parse_quantity(raw, kind, units_mode)
-        planck[flag] = p_val
-        echo[flag] = _echo_entry(p_val, si_val, kind)
+    names = [n for n in ("m_a", "m_b", "d", "r", "q_a", "q_b", "dx_min") if n not in skip]
+    planck, echo = _read_quantities(args, names)
+    echo["coupling"] = args.coupling
     echo["r_over_d_min"] = args.r_over_d_min
     params = ScenarioParams(
         m_a=planck.get("m_a", 1.0),
@@ -184,7 +189,7 @@ def _csv(comments: list[str], header: list[str], rows) -> str:
 
 
 def _cmd_bounds(args) -> int:
-    params, echo = _scenario_from_args(args, require=("m_a", "d", "r"))
+    params, echo = _scenario_from_args(args)
     echo["model"] = args.model
     echo["slack"] = args.slack
     report = bounds.feasibility_report(params, args.model, args.slack)
@@ -194,20 +199,11 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_causal(args) -> int:
-    units_mode = args.units
-    r_p, r_si = _parse_quantity(args.r, "length", units_mode)
-    ta_p, ta_si = _parse_quantity(args.t_a, "time", units_mode)
-    tb_p, tb_si = _parse_quantity(args.t_b, "time", units_mode)
-    echo = {
-        "units": units_mode,
-        "r": _echo_entry(r_p, r_si, "length"),
-        "t_a": _echo_entry(ta_p, ta_si, "time"),
-        "t_b": _echo_entry(tb_p, tb_si, "time"),
-        "strict": not args.non_strict,
-    }
+    planck, echo = _read_quantities(args, ("r", "t_a", "t_b"))
+    r_p, ta_p, tb_p = planck["r"], planck["t_a"], planck["t_b"]
+    strict = echo["strict"] = not args.non_strict
     # Masses and separation are irrelevant to the timing checks.
     params = ScenarioParams(m_a=1.0, d=r_p, r=r_p, t_a=ta_p, t_b=tb_p)
-    strict = not args.non_strict
     verdict = causal.check_no_signalling(params, strict=strict)
     timeline = causal.build_timeline(params)
     results = {
@@ -252,8 +248,8 @@ def _grid(lo: float, hi: float, points: int, log: bool):
 
 def _cmd_sweep(args) -> int:
     name = args.sweep
+    params, _ = _scenario_from_args(args, skip=("r",) if name == "eta" else (name,))
     if name == "eta":
-        params, _ = _scenario_from_args(args, require=("m_a", "d"), skip=("r",))
         lo = _parse_bare(args.sweep_from, "eta from")
         hi = _parse_bare(args.to, "eta to")
         provenance = dict(bounds.ETA_COLUMNS)
@@ -263,9 +259,7 @@ def _cmd_sweep(args) -> int:
             return (eta, *bounds.eta_row(eta, m_eff, d))
 
     else:
-        require = tuple(f for f in ("m_a", "d", "r") if f != name)
-        params, _ = _scenario_from_args(args, require=require, skip=(name,))
-        kind = _SCENARIO_FLAG_KINDS[name]
+        kind = _QUANTITY_FLAGS[name]
         lo, _ = _parse_quantity(args.sweep_from, kind, args.units)
         hi, _ = _parse_quantity(args.to, kind, args.units)
         provenance = bounds.report_provenance(params.coupling, args.model)
@@ -288,8 +282,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    params, _ = _scenario_from_args(args, require=("m_a", "d", "r"))
-    sigma0, _ = _parse_quantity(args.sigma0, "length", args.units)
+    params, _ = _scenario_from_args(args)
+    sigma0 = _read_quantities(args, ("sigma0",))[0]["sigma0"]
     if args.steps < 1:
         raise InvalidInputError(f"steps must be >= 1, got {args.steps}")
 
@@ -308,6 +302,8 @@ def _cmd_simulate(args) -> int:
         if t_max == 0.0
         else [t_max * i / args.steps for i in range(args.steps + 1)]
     )
+    if not math.isfinite(times[-1]):
+        raise ArithmeticError(f"the time grid to t-max {t_max!r} in {args.steps} steps overflows")
     comments = [
         f"interferobounds {__version__}",
         f"simulate {args.model} t_max {_fmt(t_max)} steps {args.steps} (planck units)",
@@ -417,27 +413,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _VALUE_FLAGS = frozenset(
-    {
-        "--m-a", "--m-b", "--d", "--r", "--q-a", "--q-b", "--dx-min",
-        "--t-a", "--t-b", "--sigma0", "--t-max", "--from", "--to",
-    }
+    [*(f"--{name.replace('_', '-')}" for name in _QUANTITY_FLAGS), "--t-max", "--from", "--to"]
 )
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
     # argparse mistakes a negative quantity like -1mp for an option; fold it
     # into --flag=value form so validation can reject it with a clear error.
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt and nxt.startswith("-") and _TOKEN_RE.match(nxt):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and tok.startswith("-") and _TOKEN_RE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -454,13 +442,15 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(_merge_negative_values(list(argv)))
         return args.func(args)
-    except InvalidInputError as exc:
-        _emit_error("invalid-input", exc)
-        return 2
     except ArithmeticError as exc:
         # Overflow, underflow to a zero divisor, or a result that strict
-        # JSON cannot hold.
-        _emit_error("out-of-range", f"result outside the floating-point range: {exc}")
+        # JSON cannot hold; caught first, because a NonFiniteError is also an
+        # InvalidInputError.  float ** raises OverflowError(errno, text).
+        detail = exc.args[-1] if exc.args else exc
+        _emit_error("out-of-range", f"result outside the floating-point range: {detail}")
+        return 2
+    except InvalidInputError as exc:
+        _emit_error("invalid-input", exc)
         return 2
     except ConvergenceError as exc:
         _emit_error("no-convergence", exc)

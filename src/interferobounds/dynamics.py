@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from . import bounds
-from .errors import ConvergenceError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, NonFiniteError
 from .scenario import ScenarioParams
 
 # Relative tolerance on det(cov) = 1/4 when a pure-state wavefunction is needed.
@@ -99,7 +99,7 @@ class GaussianState:
             and math.isfinite(self.mean_p)
             and math.isfinite(self.phase)
         ):
-            raise InvalidInputError("state fields must be finite")
+            raise NonFiniteError("state fields must be finite")
         scale = max(1.0, abs(sxp), abs(spx))
         if abs(sxp - spx) > 1e-12 * scale:
             raise InvalidInputError("covariance must be symmetric")
@@ -154,7 +154,7 @@ def evolve_constant_force(
     if m <= 0.0:
         raise InvalidInputError(f"nonpositive mass m = {m!r}")
     if not math.isfinite(force):
-        raise InvalidInputError(f"force must be finite, got {force!r}")
+        raise NonFiniteError(f"force must be finite, got {force!r}")
     tau = t / m
     (sxx, sxp), (_, spp) = state.cov
     new_sxp = sxp + tau * spp
@@ -323,4 +323,7 @@ def phase_evolution(p: ScenarioParams, t: float) -> PhaseBranchPair:
         raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
     delta_phi = bounds.phase_difference(p, t, "exact")
     phi_l = p.pair_coupling * t / p.r
-    return PhaseBranchPair(phi_l, delta_phi, abs(math.cos(0.5 * delta_phi)))
+    try:
+        return PhaseBranchPair(phi_l, delta_phi, abs(math.cos(0.5 * delta_phi)))
+    except ValueError:  # math.cos of an infinite phase
+        raise OverflowError(f"differential phase overflows at t = {t!r}") from None

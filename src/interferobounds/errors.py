@@ -10,5 +10,9 @@ class GeometryError(InvalidInputError):
     explicit override."""
 
 
+class NonFiniteError(InvalidInputError, ArithmeticError):
+    """An infinite or NaN value where a finite one is needed; from finite inputs, an overflow."""
+
+
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to bracket or converge."""

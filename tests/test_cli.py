@@ -1,6 +1,5 @@
 import json
 import math
-import pathlib
 import random
 import subprocess
 import sys
@@ -12,40 +11,9 @@ from interferobounds import __version__, bounds, cli
 from interferobounds.cli import main
 from interferobounds.scenario import CouplingKind, ScenarioParams
 
-DATA = pathlib.Path(__file__).resolve().parent / "data"
-GOLDEN = DATA / "golden"
+from freeze_baselines import DATA, GOLDEN_COMMANDS
 
-# Pinned invocations; must stay in sync with freeze_baselines.py.
-GOLDEN_CASES = {
-    "bounds_gravity.json": [
-        "bounds", "--m-a", "1e6mp", "--d", "1e6lp", "--r", "1e8lp",
-    ],
-    "bounds_coulomb_phase.json": [
-        "bounds", "--coupling", "coulomb", "--q-a", "1e3", "--q-b", "1e3",
-        "--m-a", "1mp", "--m-b", "1mp", "--d", "10lp", "--r", "2000lp",
-        "--model", "phase",
-    ],
-    "causal_mixed.json": [
-        "causal", "--t-a", "1.2tp", "--t-b", "0.6tp", "--r", "1lp",
-    ],
-    "sweep_eta.csv": [
-        "sweep", "--sweep", "eta", "--from", "0.001", "--to", "0.999",
-        "--points", "5", "--m-a", "1mp", "--d", "1lp",
-    ],
-    "sweep_r_log.csv": [
-        "sweep", "--sweep", "r", "--from", "1e6lp", "--to", "1e10lp",
-        "--points", "3", "--log", "--m-a", "1e9mp", "--d", "1e4lp",
-    ],
-    "simulate_phase.csv": [
-        "simulate", "--model", "phase", "--m-a", "1mp", "--m-b", "1mp",
-        "--d", "10lp", "--r", "1000lp", "--t-max", "auto", "--steps", "4",
-    ],
-    "simulate_displacement.csv": [
-        "simulate", "--model", "displacement", "--m-a", "1e9mp",
-        "--m-b", "1mp", "--d", "1e6lp", "--r", "1e8lp", "--sigma0", "1lp",
-        "--t-max", "1e5tp", "--steps", "4",
-    ],
-}
+GOLDEN = DATA / "golden"
 
 
 def run_cli(argv):
@@ -64,14 +32,14 @@ def parse_csv(text):
 # --- golden files -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_golden_bytes(name):
-    proc = run_cli(GOLDEN_CASES[name])
+    proc = run_cli(GOLDEN_COMMANDS[name])
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_golden_bytes_without_numpy(name):
     # A None entry in sys.modules makes any `import numpy` raise ImportError.
     code = (
@@ -79,19 +47,19 @@ def test_golden_bytes_without_numpy(name):
         "from interferobounds.cli import main; raise SystemExit(main())"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, *GOLDEN_CASES[name]], capture_output=True
+        [sys.executable, "-c", code, *GOLDEN_COMMANDS[name]], capture_output=True
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / name).read_bytes()
 
 
 def test_repeated_invocations_are_byte_identical():
-    argv = GOLDEN_CASES["bounds_gravity.json"]
+    argv = GOLDEN_COMMANDS["bounds_gravity.json"]
     assert run_cli(argv).stdout == run_cli(argv).stdout
 
 
 def test_out_flag_writes_same_bytes(tmp_path):
-    argv = GOLDEN_CASES["causal_mixed.json"]
+    argv = GOLDEN_COMMANDS["causal_mixed.json"]
     target = tmp_path / "causal.json"
     proc = run_cli(argv + ["--out", str(target)])
     assert proc.returncode == 0
@@ -137,7 +105,7 @@ def test_planck_mass_pair_phase_infeasible():
 
 
 def test_every_result_field_carries_provenance():
-    for argv in (GOLDEN_CASES["bounds_gravity.json"], GOLDEN_CASES["causal_mixed.json"]):
+    for argv in (GOLDEN_COMMANDS["bounds_gravity.json"], GOLDEN_COMMANDS["causal_mixed.json"]):
         env = json.loads(run_cli(argv).stdout)
         for key in env["results"]:
             assert key in env["provenance"] or any(
@@ -178,7 +146,7 @@ def test_unparseable_quantity_rejected():
 
 
 def test_unwritable_out_is_invalid_input(tmp_path):
-    argv = GOLDEN_CASES["causal_mixed.json"]
+    argv = GOLDEN_COMMANDS["causal_mixed.json"]
     for target in (tmp_path / "missing" / "x.json", tmp_path):
         proc = run_cli(argv + ["--out", str(target)])
         assert proc.returncode == 2
@@ -293,6 +261,17 @@ def _reject_constant(name):
          "--m-a", "1e300mp", "--m-b", "1e300mp", "--d", "1e3lp"],
         ["sweep", "--sweep", "eta", "--from", "0.1", "--to", "0.9", "--points", "2",
          "--m-a", "1e300mp", "--d", "1e300lp"],
+        # An infinite differential phase, whose cosine math.cos rejects.
+        ["simulate", "--model", "phase", "--m-a", "1e300mp", "--m-b", "1e300mp",
+         "--d", "1e3lp", "--r", "1e6lp", "--t-max", "1tp", "--steps", "2"],
+        # Overflow inside the Gaussian oracle: the branch states' phase, the
+        # force, and tb_phase as the series end time.
+        ["simulate", "--model", "displacement", "--m-a", "1e300mp", "--d", "1e3lp",
+         "--r", "1e6lp", "--t-max", "auto", "--steps", "2"],
+        ["simulate", "--model", "displacement", "--m-a", "1e300mp", "--m-b", "1e300mp",
+         "--d", "1e3lp", "--r", "1e6lp", "--t-max", "1tp", "--steps", "2"],
+        ["simulate", "--model", "phase", "--m-a", "1e-200mp", "--d", "1e3lp",
+         "--r", "1e300lp", "--t-max", "auto", "--steps", "2"],
     ],
 )
 def test_out_of_range_results_emit_json_error(argv):
@@ -301,6 +280,7 @@ def test_out_of_range_results_emit_json_error(argv):
     assert b"Traceback" not in proc.stderr
     err = json.loads(proc.stdout, parse_constant=_reject_constant)["error"]
     assert err["code"] == "out-of-range"
+    assert "(34," not in err["message"]
 
 
 def test_non_finite_csv_writes_no_out_file(tmp_path, capsys):
@@ -310,6 +290,68 @@ def test_non_finite_csv_writes_no_out_file(tmp_path, capsys):
     assert rc == 2
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "out-of-range"
     assert not out.exists()
+
+
+def _log_uniform(rng, unit=""):
+    return f"{10.0 ** rng.uniform(-300.0, 300.0)!r}{unit}"
+
+
+def _contract_argv(rng):
+    """One seeded invocation of any subcommand with log-uniform inputs
+    from 1e-300 to 1e300 in Planck units."""
+    command = rng.choice(("bounds", "sweep", "simulate", "causal"))
+    if command == "causal":
+        argv = ["causal", "--t-a", _log_uniform(rng, "tp"), "--t-b", _log_uniform(rng, "tp"),
+                "--r", _log_uniform(rng, "lp")]
+        return argv + ["--non-strict"] * rng.randint(0, 1)
+    units = {"m_a": "mp", "m_b": "mp", "d": "lp", "r": "lp"}
+    swept = rng.choice((*units, "eta")) if command == "sweep" else None
+    argv = [command]
+    for name, unit in units.items():
+        if name != swept and not (swept == "eta" and name == "r"):
+            argv += [f"--{name.replace('_', '-')}", _log_uniform(rng, unit)]
+    if rng.random() < 0.5:
+        argv += ["--coupling", "coulomb", "--q-a", _log_uniform(rng), "--q-b", _log_uniform(rng)]
+    if rng.random() < 0.5:
+        argv += ["--dx-min", _log_uniform(rng, "lp")]
+    argv += ["--override-geometry"] * rng.randint(0, 1)
+    if command == "simulate":
+        t_max = "auto" if rng.random() < 0.5 else _log_uniform(rng, "tp")
+        return argv + ["--model", rng.choice(("displacement", "phase")), "--t-max", t_max,
+                       "--steps", str(rng.randint(1, 4)), "--sigma0", _log_uniform(rng, "lp")]
+    argv += ["--model", rng.choice(("displacement", "phase", "both"))]
+    if command == "bounds":
+        return argv
+    if swept == "eta":
+        lo, hi = sorted(rng.uniform(0.0, 1.0) for _ in range(2))
+        grid = [repr(lo), repr(hi)]
+    else:
+        lo = 10.0 ** rng.uniform(-300.0, 290.0)
+        grid = [f"{v!r}{units[swept]}" for v in (lo, lo * 10.0 ** rng.uniform(0.0, 10.0))]
+    return argv + ["--sweep", swept, "--from", grid[0], "--to", grid[1],
+                   "--points", str(rng.randint(2, 4))] + ["--log"] * rng.randint(0, 1)
+
+
+_EXIT_FOR_CODE = {"invalid-input": 2, "out-of-range": 2, "no-convergence": 3}
+
+
+def test_cli_contract_holds_for_extreme_inputs(capsys):
+    rng = random.Random(2405)
+    for _ in range(1000):
+        argv = _contract_argv(rng)
+        try:
+            rc = main(argv)
+        except BaseException as exc:  # nothing, SystemExit included, may escape main
+            pytest.fail(f"{argv} raised {exc!r}")
+        out = capsys.readouterr().out
+        if rc == 0 and argv[0] in ("bounds", "causal"):
+            assert "results" in json.loads(out, parse_constant=_reject_constant), argv
+        elif rc == 0:
+            rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+            assert rows and all(math.isfinite(float(v)) for l in rows for v in l.split(",")), argv
+        else:
+            err = json.loads(out)["error"]
+            assert _EXIT_FOR_CODE[err["code"]] == rc, (argv, err)
 
 
 def test_simulate_non_convergence_exits_3():
