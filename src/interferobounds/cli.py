@@ -446,7 +446,11 @@ def main(argv=None) -> int:
         # Overflow, underflow to a zero divisor, or a result that strict
         # JSON cannot hold; caught first, because a NonFiniteError is also an
         # InvalidInputError.  float ** raises OverflowError(errno, text).
-        detail = exc.args[-1] if exc.args else exc
+        # Every input is checked positive, so a zero divisor is an underflow.
+        if isinstance(exc, ZeroDivisionError):
+            detail = "a divisor underflowed to zero"
+        else:
+            detail = exc.args[-1] if exc.args else exc
         _emit_error("out-of-range", f"result outside the floating-point range: {detail}")
         return 2
     except InvalidInputError as exc:

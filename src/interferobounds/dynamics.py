@@ -117,10 +117,6 @@ class GaussianState:
     def sigma_x(self) -> float:
         return math.sqrt(self.cov[0][0])
 
-    @property
-    def sigma_p(self) -> float:
-        return math.sqrt(self.cov[1][1])
-
 
 def ground_state(m: float, omega: float) -> GaussianState:
     """Trap ground state: minimum uncertainty, sigma_x = sqrt(1/(2*m*omega))."""
@@ -137,7 +133,10 @@ def ground_state_with_width(m: float, sigma_x: float) -> GaussianState:
     """Trap ground state with a chosen position width (omega = 1/(2*m*sigma_x^2))."""
     if sigma_x <= 0.0:
         raise InvalidInputError(f"nonpositive width sigma_x = {sigma_x!r}")
-    return ground_state(m, 1.0 / (2.0 * m * sigma_x * sigma_x))
+    scale = 2.0 * m * sigma_x * sigma_x
+    if scale == math.inf:
+        raise NonFiniteError(f"2*m*sigma_x^2 overflows at m = {m!r}, sigma_x = {sigma_x!r}")
+    return ground_state(m, 1.0 / scale)
 
 
 def evolve_constant_force(

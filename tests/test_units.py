@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from interferobounds.errors import InvalidInputError
+from interferobounds.errors import InvalidInputError, NonFiniteError
 from interferobounds.units import (
     CHARGE,
     CODATA,
@@ -109,6 +109,15 @@ def test_from_planck_base_units():
 def test_from_planck_rejects_non_finite():
     with pytest.raises(InvalidInputError):
         from_planck(float("nan"), LENGTH)
+
+
+def test_unrepresentable_conversions_are_non_finite_and_name_the_unit():
+    with pytest.raises(NonFiniteError) as to_err:
+        to_planck(Quantity(1e300, TIME))
+    with pytest.raises(NonFiniteError) as from_err:
+        from_planck(1e300, LENGTH / TIME)
+    assert str(to_err.value) == "1e+300 s is not representable in Planck units"
+    assert str(from_err.value) == "1e+300 Planck units of m s^-1 is not representable in SI"
 
 
 def test_round_trip_base_dimensions():
