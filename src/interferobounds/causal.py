@@ -6,7 +6,7 @@ l_P).  The interferometer side sits at x = 0, the probe side at x = r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .scenario import ScenarioParams
@@ -20,15 +20,13 @@ SPACELIKE = "spacelike"
 LIGHTLIKE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     t: float
     x: float
     label: str = ""
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     kind: str
     s_squared: float
 
@@ -52,8 +50,7 @@ def causally_precedes(e1: Event, e2: Event) -> bool:
     return e2.t - e1.t >= abs(e2.x - e1.x)
 
 
-@dataclass(frozen=True)
-class Timeline:
+class Timeline(NamedTuple):
     """The five events of one run, in canonical order."""
 
     a_create: Event
@@ -63,17 +60,10 @@ class Timeline:
     a_recombine_done: Event
 
     def events(self) -> list[Event]:
-        return [
-            self.a_create,
-            self.b_decide,
-            self.b_measure_done,
-            self.a_signal_arrival,
-            self.a_recombine_done,
-        ]
+        return list(self)
 
 
-@dataclass(frozen=True)
-class CausalVerdict:
+class CausalVerdict(NamedTuple):
     no_signalling_ok: bool
     margin: float
     explanation: str

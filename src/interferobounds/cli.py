@@ -20,8 +20,8 @@ import sys
 from dataclasses import replace
 
 from . import __version__, bounds, causal, dynamics
-from .errors import ConvergenceError, InvalidInputError
-from .scenario import CouplingKind, ScenarioParams, replace_swept
+from .errors import ConvergenceError, InvalidInputError, NonFiniteError
+from .scenario import ScenarioParams, replace_swept
 from .units import CHARGE, LENGTH, MASS, TIME, Quantity, from_planck, to_planck
 
 # Each kind of quantity: its dimension, SI unit name and Planck suffix.
@@ -70,7 +70,12 @@ def _parse_quantity(text: str, kind: str, units_mode: str) -> tuple[float, float
     dim = _KINDS[kind][0]
     if system == "planck":
         return value, from_planck(value, dim).value
-    return to_planck(Quantity(value, dim)), value
+    try:
+        return to_planck(Quantity(value, dim)), value
+    except NonFiniteError:
+        if value < 0.0:  # the sign is the fault, whatever the size
+            raise InvalidInputError(f"nonpositive {kind} {text!r}") from None
+        raise
 
 
 def _read_quantities(args, names) -> tuple[dict, dict]:
@@ -130,7 +135,7 @@ def _scenario_from_args(args, skip: tuple[str, ...] = ()):
         d=planck.get("d", 1.0),
         r=planck.get("r", 1.0),
         m_b=planck.get("m_b", 1.0),
-        coupling=CouplingKind(args.coupling),
+        coupling=args.coupling,
         q_a=planck.get("q_a"),
         q_b=planck.get("q_b"),
         delta_x_min=planck.get("dx_min"),

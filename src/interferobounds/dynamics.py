@@ -17,6 +17,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bounds
 from .errors import ConvergenceError, InvalidInputError, NonFiniteError
@@ -85,19 +86,17 @@ class GaussianState:
 
     def __post_init__(self) -> None:
         try:
-            cov = tuple(tuple(float(v) for v in row) for row in self.cov)
+            (sxx, sxp), (spx, spp) = self.cov
+            sxx, sxp, spx, spp = float(sxx), float(sxp), float(spx), float(spp)
         except (TypeError, ValueError):
             raise InvalidInputError(
                 f"covariance must be a 2x2 array of numbers, got {self.cov!r}"
             ) from None
-        if len(cov) != 2 or len(cov[0]) != 2 or len(cov[1]) != 2:
-            raise InvalidInputError(f"covariance must be 2x2, got {cov!r}")
-        (sxx, sxp), (spx, spp) = cov
+        cov = ((sxx, sxp), (spx, spp))
         if not (
-            all(math.isfinite(v) for v in (sxx, sxp, spx, spp))
-            and math.isfinite(self.mean_x)
-            and math.isfinite(self.mean_p)
-            and math.isfinite(self.phase)
+            math.isfinite(sxx) and math.isfinite(sxp) and math.isfinite(spx)
+            and math.isfinite(spp) and math.isfinite(self.mean_x)
+            and math.isfinite(self.mean_p) and math.isfinite(self.phase)
         ):
             raise NonFiniteError("state fields must be finite")
         scale = max(1.0, abs(sxp), abs(spx))
@@ -201,6 +200,8 @@ def _cexp(z: complex) -> complex:
     # OverflowError or ValueError where this returns infinities or NaNs.
     x, y = z.real, z.imag
     if not (math.isfinite(x) and math.isfinite(y)):
+        if x == -math.inf and not math.isfinite(y):
+            return complex(0.0, math.copysign(0.0, y))  # cmath.exp drops y's sign
         try:
             return cmath.exp(z)
         except ValueError:  # exp(x +/- i*inf)
@@ -247,8 +248,7 @@ def overlap(a: GaussianState, b: GaussianState) -> complex:
     return norm * cmath.sqrt(_cdiv(math.pi, big_a)) * _cexp(_cdiv(big_b * big_b, 4.0 * big_a) + big_c)
 
 
-@dataclass(frozen=True)
-class BranchPair:
+class BranchPair(NamedTuple):
     """Probe state conditioned on each source path, plus their overlap."""
 
     left: GaussianState
@@ -263,12 +263,10 @@ class BranchPair:
 def displacement_branches(p: ScenarioParams, sigma0: float, t: float) -> BranchPair:
     """Evolve the trap ground state for time t under each path's full
     1/r^2 pull (left: distance r, right: distance r+d)."""
-    if sigma0 <= 0.0:
-        raise InvalidInputError(f"nonpositive width sigma0 = {sigma0!r}")
+    s0 = ground_state_with_width(p.m_b, sigma0)
     k = p.pair_coupling
     f_left = k / (p.r * p.r)
     f_right = k / ((p.r + p.d) * (p.r + p.d))
-    s0 = ground_state_with_width(p.m_b, sigma0)
     left = evolve_constant_force(s0, f_left, p.m_b, t)
     right = evolve_constant_force(s0, f_right, p.m_b, t)
     return BranchPair(left, right, overlap(left, right))
@@ -305,8 +303,7 @@ def orthogonalization_time(
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class PhaseBranchPair:
+class PhaseBranchPair(NamedTuple):
     """Two-branch interferometric record: common phase on the near beam,
     differential phase, and the conditional-state overlap |cos(dphi/2)|."""
 
@@ -318,8 +315,6 @@ class PhaseBranchPair:
 def phase_evolution(p: ScenarioParams, t: float) -> PhaseBranchPair:
     """Interferometric probe record after time t, using the exact
     differential phase."""
-    if t < 0.0 or not math.isfinite(t):
-        raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
     delta_phi = bounds.phase_difference(p, t, "exact")
     phi_l = p.pair_coupling * t / p.r
     try:

@@ -39,14 +39,16 @@ class ScenarioParams:
     """One source/probe configuration.
 
     m_a is the interfered source mass, m_b the probe mass, d the path
-    separation, r the source-probe distance.  q_a and q_b are charges and
-    are required for coulomb coupling.  delta_x_min is the smallest trap
-    confinement the probe can start from; it defaults to one Planck length
-    for gravity and must be supplied explicitly for coulomb.  r_over_d_min
-    is the ratio threshold standing in for the far-field requirement
-    r >> d.  t_a and t_b are optional interferometer and probe measurement
-    durations consumed by the causal timeline.  override_geometry allows
-    evaluating far-field formulas even when r/d < r_over_d_min.
+    separation, r the source-probe distance.  coupling is a CouplingKind or
+    its value, "gravity" or "coulomb", and is stored as a CouplingKind.  q_a
+    and q_b are charges and are required for coulomb coupling.  delta_x_min
+    is the smallest trap confinement the probe can start from; it defaults
+    to one Planck length for gravity and must be supplied explicitly for
+    coulomb.  r_over_d_min is the ratio threshold standing in for the
+    far-field requirement r >> d.  t_a and t_b are optional interferometer
+    and probe measurement durations consumed by the causal timeline.
+    override_geometry allows evaluating far-field formulas even when
+    r/d < r_over_d_min.
     """
 
     m_a: float
@@ -66,6 +68,10 @@ class ScenarioParams:
         for name, kind in _SWEPT_FIELDS.items():
             _check_positive(name, kind, getattr(self, name))
         _check_positive("r_over_d_min", "ratio", self.r_over_d_min)
+        try:
+            object.__setattr__(self, "coupling", CouplingKind(self.coupling))
+        except ValueError:
+            raise InvalidInputError(f"unknown coupling {self.coupling!r}") from None
         if self.coupling is CouplingKind.COULOMB and (self.q_a is None or self.q_b is None):
             raise InvalidInputError("coulomb coupling requires q_a and q_b")
         for name, value in (("q_a", self.q_a), ("q_b", self.q_b)):

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidInputError, NonFiniteError
 
@@ -162,8 +163,7 @@ _T_P = _L_P / _C
 _Q_P = math.sqrt(4.0 * math.pi * _EPS0 * _HBAR * _C)
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(NamedTuple):
     """Fundamental constants and the derived Planck scales, as SI quantities."""
 
     c: Quantity

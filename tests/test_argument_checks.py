@@ -1,0 +1,95 @@
+"""Every library argument check raises its documented error.
+
+One row per check: the call that trips it and the exception it must raise.
+The rows cover the checks that no other test reaches.
+"""
+
+import math
+
+import pytest
+
+from interferobounds import bounds, causal, dynamics
+from interferobounds.errors import InvalidInputError
+from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
+from interferobounds.units import LENGTH, TIME, Dimension, Quantity
+
+_P = ScenarioParams(m_a=1.0, d=1.0, r=1000.0)
+# r*r underflows to zero, so a force computed before the width check divides by zero.
+_TINY = ScenarioParams(m_a=1.0, d=1e-200, r=1e-200)
+_COULOMB = dict(m_a=1.0, d=1.0, r=1000.0, q_a=1e3, q_b=1e3, delta_x_min=1.0)
+
+_CHECKS = {
+    "displacement_shift m_b": lambda: bounds.displacement_shift(1.0, 0.0, 1.0),
+    "displacement_shift t<0": lambda: bounds.displacement_shift(1.0, 1.0, -1.0),
+    "displacement_shift t=inf": lambda: bounds.displacement_shift(1.0, 1.0, math.inf),
+    "displacement_shift force<0": lambda: bounds.displacement_shift(-1.0, 1.0, 1.0),
+    "displacement_shift force=nan": lambda: bounds.displacement_shift(math.nan, 1.0, 1.0),
+    "eta m_a": lambda: bounds.tb_eta(0.5, 0.0, 1.0),
+    "eta d": lambda: bounds.ta_lower_bound(0.5, 1.0, -1.0),
+    "ta_min_round_trip m_a": lambda: bounds.ta_min_round_trip(0.0, 1.0),
+    "ta_min_round_trip d": lambda: bounds.ta_min_round_trip(1.0, 0.0),
+    "r_max_displacement m_a": lambda: bounds.r_max_displacement(-1.0, 1.0),
+    "r_max_displacement d": lambda: bounds.r_max_displacement(1.0, 0.0),
+    "r_max_phase m_a": lambda: bounds.r_max_phase(0.0, 1.0, 1.0),
+    "r_max_phase m_b": lambda: bounds.r_max_phase(1.0, -1.0, 1.0),
+    "r_max_phase d": lambda: bounds.r_max_phase(1.0, 1.0, 0.0),
+    "phase_difference t<0": lambda: bounds.phase_difference(_P, -1.0),
+    "phase_difference t=nan": lambda: bounds.phase_difference(_P, math.nan, "approx"),
+    "displacement_branches sigma0=0": lambda: dynamics.displacement_branches(_P, 0.0, 1.0),
+    "width checked before forces": lambda: dynamics.displacement_branches(_TINY, -1.0, 1.0),
+    "evolve_constant_force m": lambda: dynamics.evolve_constant_force(
+        dynamics.ground_state(1.0, 1.0), 1.0, 0.0, 1.0),
+    "phase_evolution t=nan": lambda: dynamics.phase_evolution(_P, math.nan),
+    "meets_one_way_bound r=0": lambda: causal.meets_one_way_bound(1.0, 1.0, 0.0),
+    "meets_one_way_bound r<0": lambda: causal.meets_one_way_bound(1.0, 1.0, -1.0),
+    "retarded_source_time r<0": lambda: causal.retarded_source_time(0.0, -1.0),
+    "coulomb without charges": lambda: ScenarioParams(
+        m_a=1.0, d=1.0, r=1000.0, coupling=CouplingKind.COULOMB, q_a=1e3),
+    "'coulomb' without charges": lambda: ScenarioParams(
+        m_a=1.0, d=1.0, r=1000.0, coupling="coulomb"),
+    "unknown coupling": lambda: ScenarioParams(**_COULOMB, coupling="coulom"),
+    "t_a=nan": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_a=math.nan),
+    "t_a<0": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_a=-1.0),
+    "t_b=inf": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_b=math.inf),
+    "t_b<0": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_b=-1.0),
+    "Dimension ** 1.5": lambda: LENGTH ** 1.5,
+    "Quantity ** 0.5": lambda: Quantity(4.0, LENGTH) ** 0.5,
+    "non-real Quantity": lambda: Quantity("1.0", LENGTH),
+    "bool Quantity": lambda: Quantity(True),
+    "Quantity - other dimension": lambda: Quantity(1.0, LENGTH) - Quantity(1.0, TIME),
+    "Quantity - number": lambda: Quantity(1.0) - 1.0,
+    "Quantity * scalar overflows": lambda: Quantity(1e300, LENGTH) * 1e300,
+    "scalar * Quantity overflows": lambda: 1e300 * Quantity(1e300, LENGTH),
+    "Quantity / scalar overflows": lambda: Quantity(1e300, LENGTH) / 1e-300,
+}
+
+
+@pytest.mark.parametrize("call", _CHECKS.values(), ids=_CHECKS)
+def test_argument_check_raises_invalid_input(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_report_rejects_unknown_attribute():
+    report = bounds.feasibility_report(_P)
+    with pytest.raises(AttributeError, match="no attribute 'tb_nope'"):
+        report.tb_nope
+
+
+def test_quantity_arithmetic_keeps_the_dimension():
+    q = Quantity(3.0, LENGTH)
+    assert q - Quantity(1.0, LENGTH) == Quantity(2.0, LENGTH)
+    assert q * 2 == 2 * q == Quantity(6.0, LENGTH)
+    assert q / 2 == Quantity(1.5, LENGTH)
+    assert q ** 2 == Quantity(9.0, Dimension(length=2))
+    assert -q == Quantity(-3.0, LENGTH)
+
+
+def test_string_coupling_gives_the_enum_report():
+    by_name = ScenarioParams(**_COULOMB, coupling="coulomb")
+    by_enum = ScenarioParams(**_COULOMB, coupling=CouplingKind.COULOMB)
+    assert by_name.coupling is CouplingKind.COULOMB
+    assert by_name.pair_coupling == 1e6
+    assert replace_swept(by_name, "r", 2e3).coupling is CouplingKind.COULOMB
+    assert bounds.feasibility_report(by_name) == bounds.feasibility_report(by_enum)
+    assert ScenarioParams(m_a=2.0, d=1.0, r=1e3, coupling="gravity").pair_coupling == 2.0

@@ -171,6 +171,13 @@ def test_unwritable_out_is_invalid_input(tmp_path):
         # The phase model never reads slack, but the JSON echo would hold it.
         (["bounds", "--m-a", "1e6mp", "--d", "1e6lp", "--r", "1e8lp", "--model", "phase",
           "--slack", "inf"], "slack"),
+        # Negative SI values whose Planck value overflows: the error names
+        # the sign, not the size.
+        (["bounds", "--m-a", "1mp", "--d", "1lp", "--r", "-1e300m"], "nonpositive length"),
+        (["simulate", "--m-a", "1.4684145617443765e+48mp", "--m-b", "7.12580595340144e+252kg",
+          "--d", "3.8161681044464944e+121m", "--r", "-1.0820264477987957e+289m",
+          "--model", "displacement", "--t-max", "2.315552542351297e+48s", "--steps", "1",
+          "--sigma0", "1.0730909198330734e+226m"], "nonpositive length"),
     ],
 )
 def test_usage_errors_emit_json_error(argv, fragment):

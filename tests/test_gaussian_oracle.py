@@ -118,3 +118,41 @@ def test_far_field_displacement_series_match_reference(coulomb, monkeypatch):
             patched.setattr(dynamics, "overlap", ref.overlap)
             assert dynamics.orthogonalization_time(p) == t_orth
             assert _series(p, t_orth) == rows
+
+
+def _same_bits(a: complex, b: complex) -> bool:
+    # Equal parts with equal signs (so -0.0 differs from 0.0); any NaN matches NaN.
+    return all(
+        (math.isnan(x) and math.isnan(y))
+        or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+        for x, y in ((a.real, b.real), (a.imag, b.imag))
+    )
+
+
+# Zeros, subnormals, the edges of the double range, the cexp scaling steps
+# (multiples of 709), infinities and NaNs of both signs.
+_SPECIALS = (
+    0.0, -0.0, 5e-324, -5e-324, 3e-310, 1.0, -1.0, 2.5, 709.5, 710.0, 1418.5, 1419.0,
+    -1500.0, 1e308, -1e308, math.inf, -math.inf, math.nan, -math.nan,
+)
+_SPECIAL_PAIRS = [complex(x, y) for x in _SPECIALS for y in _SPECIALS]
+
+
+def test_cexp_matches_numpy_beyond_the_scaling_step_and_at_specials():
+    rng = random.Random(709)
+    draws = [
+        complex(rng.uniform(700.0, 1500.0), rng.choice((-1, 1)) * 10.0 ** rng.uniform(-320, 308))
+        for _ in range(20_000)
+    ]
+    with np.errstate(all="ignore"):
+        for z in draws + _SPECIAL_PAIRS:
+            assert _same_bits(dynamics._cexp(z), complex(np.exp(np.complex128(z)))), z
+
+
+def test_cdiv_by_signed_zero_matches_numpy():
+    zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    with np.errstate(all="ignore"):
+        for a in _SPECIAL_PAIRS:
+            for b in zeros:
+                expected = complex(np.complex128(a) / np.complex128(b))
+                assert _same_bits(dynamics._cdiv(a, b), expected), (a, b)

@@ -37,3 +37,9 @@ def test_the_import_check_sees_imports_inside_functions(tmp_path):
     module = tmp_path / "probe.py"
     module.write_text("import math\n\ndef f():\n    import numpy as np\n    from scipy import stats\n")
     assert _third_party_imports(module) == ["probe.py:4: numpy", "probe.py:5: scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_parses_as_python_3_10(path):
+    # pyproject's requires-python is ">=3.10".
+    ast.parse(path.read_text(), str(path), feature_version=(3, 10))
