@@ -20,21 +20,21 @@ import sys
 from dataclasses import replace
 
 from . import __version__, bounds, causal, dynamics
-from .errors import ConvergenceError, InvalidInputError, NonFiniteError
-from .scenario import ScenarioParams, replace_swept
-from .units import CHARGE, LENGTH, MASS, TIME, Quantity, from_planck, to_planck
+from .errors import ConvergenceError, InvalidInputError
+from .scenario import ScenarioParams, _check_positive, replace_swept
+from .units import CHARGE, LENGTH, MASS, TIME, Quantity, _si_unit, from_planck, to_planck
 
-# Each kind of quantity: its dimension, SI unit name and Planck suffix.
+# Each kind of quantity: its dimension and Planck suffix; units names its SI unit.
 # Charges take no Planck suffix; a bare number under --units planck is one.
 _KINDS = {
-    "mass": (MASS, "kg", "mp"),
-    "length": (LENGTH, "m", "lp"),
-    "time": (TIME, "s", "tp"),
-    "charge": (CHARGE, "C", None),
+    "mass": (MASS, "mp"),
+    "length": (LENGTH, "lp"),
+    "time": (TIME, "tp"),
+    "charge": (CHARGE, None),
 }
 # Unit suffix -> (kind, unit system).
-_SUFFIXES = {unit: (kind, "si") for kind, (_, unit, _) in _KINDS.items()}
-_SUFFIXES.update({unit: (kind, "planck") for kind, (_, _, unit) in _KINDS.items() if unit})
+_SUFFIXES = {_si_unit(dim): (kind, "si") for kind, (dim, _) in _KINDS.items()}
+_SUFFIXES.update({unit: (kind, "planck") for kind, (_, unit) in _KINDS.items() if unit})
 _TOKEN_RE = re.compile(
     rf"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)({'|'.join(_SUFFIXES)})?$"
 )
@@ -54,12 +54,16 @@ _QUANTITY_FLAGS = {
 }
 
 
-def _parse_quantity(text: str, kind: str, units_mode: str) -> tuple[float, float]:
-    """Parse one CLI token into (planck_value, si_value)."""
+def _parse_quantity(flag: str, text: str, kind: str, units_mode: str) -> tuple[float, float]:
+    """Parse the token given to flag into (planck_value, si_value).  The
+    CLI's one sign check: a negative number is refused here, before any unit
+    conversion.  Zero is left to whatever reads the value."""
     match = _TOKEN_RE.match(text.strip())
     if match is None:
         raise InvalidInputError(f"cannot parse quantity {text!r}")
     value = float(match.group(1))
+    if value < 0.0:
+        raise InvalidInputError(f"nonpositive {kind} {flag} {text!r}")
     suffix = match.group(2)
     if suffix is None:
         system = units_mode
@@ -70,12 +74,7 @@ def _parse_quantity(text: str, kind: str, units_mode: str) -> tuple[float, float
     dim = _KINDS[kind][0]
     if system == "planck":
         return value, from_planck(value, dim).value
-    try:
-        return to_planck(Quantity(value, dim)), value
-    except NonFiniteError:
-        if value < 0.0:  # the sign is the fault, whatever the size
-            raise InvalidInputError(f"nonpositive {kind} {text!r}") from None
-        raise
+    return to_planck(Quantity(value, dim)), value
 
 
 def _read_quantities(args, names) -> tuple[dict, dict]:
@@ -85,14 +84,15 @@ def _read_quantities(args, names) -> tuple[dict, dict]:
     echo: dict = {"units": args.units}
     for name in names:
         raw = getattr(args, name)
+        flag = f"--{name.replace('_', '-')}"
         if raw is None:
             if name in ("m_a", "d", "r"):
-                raise InvalidInputError(f"missing required parameter --{name.replace('_', '-')}")
+                raise InvalidInputError(f"missing required parameter {flag}")
             continue
         kind = _QUANTITY_FLAGS[name]
-        p_val, si_val = _parse_quantity(raw, kind, args.units)
+        p_val, si_val = _parse_quantity(flag, raw, kind, args.units)
         planck[name] = p_val
-        echo[name] = {"planck": p_val, "si": si_val, "si_unit": _KINDS[kind][1]}
+        echo[name] = {"planck": p_val, "si": si_val, "si_unit": _si_unit(_KINDS[kind][0])}
     return planck, echo
 
 
@@ -103,16 +103,19 @@ def _parse_bare(text: str, name: str) -> float:
         raise InvalidInputError(f"{name} must be a plain number, got {text!r}") from None
 
 
-def _slack(text: str) -> float:
-    """--slack: a finite positive number.  Checked as it is parsed, not only
-    by the formulas that read it, because `bounds --model phase` echoes the
-    slack without reading it."""
-    try:
-        value = float(text)
-        bounds._check_slack(value)
-    except ValueError as exc:  # InvalidInputError is a ValueError
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+def _checked_float(check):
+    """An argparse type: a float that check accepts, so that --slack and
+    --eps are checked even where a model echoes or ignores them."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            check(value)
+        except ValueError as exc:  # InvalidInputError is a ValueError
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
 
 
 # How every number is written as text: 17 significant digits give back the
@@ -265,8 +268,8 @@ def _cmd_sweep(args) -> int:
 
     else:
         kind = _QUANTITY_FLAGS[name]
-        lo, _ = _parse_quantity(args.sweep_from, kind, args.units)
-        hi, _ = _parse_quantity(args.to, kind, args.units)
+        lo, _ = _parse_quantity("--from", args.sweep_from, kind, args.units)
+        hi, _ = _parse_quantity("--to", args.to, kind, args.units)
         provenance = bounds.report_provenance(params.coupling, args.model)
         # Set once, so report_values need not copy each row's params again.
         base = replace(params, override_geometry=True)
@@ -289,6 +292,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_simulate(args) -> int:
     params, _ = _scenario_from_args(args)
     sigma0 = _read_quantities(args, ("sigma0",))[0]["sigma0"]
+    _check_positive("sigma0", "length", sigma0)
     if args.steps < 1:
         raise InvalidInputError(f"steps must be >= 1, got {args.steps}")
 
@@ -298,9 +302,7 @@ def _cmd_simulate(args) -> int:
         else:
             t_max = bounds.tb_phase(params, "exact")
     else:
-        t_max, _ = _parse_quantity(args.t_max, "time", args.units)
-        if t_max < 0.0:
-            raise InvalidInputError(f"t-max must be nonnegative, got {t_max!r}")
+        t_max, _ = _parse_quantity("--t-max", args.t_max, "time", args.units)
 
     times = (
         [0.0]
@@ -376,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="JSON feasibility report for one scenario")
     _add_scenario_flags(b, required=("m_a", "d", "r"))
     b.add_argument("--model", choices=("displacement", "phase", "both"), default="both")
-    b.add_argument("--slack", type=_slack, default=1.0,
+    b.add_argument("--slack", type=_checked_float(bounds._check_slack), default=1.0,
                    help="multiplier on the displacement target (default 1)")
     _add_units_flags(b)
     b.set_defaults(func=_cmd_bounds)
@@ -389,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--points", type=int, required=True)
     s.add_argument("--log", action="store_true", help="logarithmic grid")
     s.add_argument("--model", choices=("displacement", "phase", "both"), default="both")
-    s.add_argument("--slack", type=_slack, default=1.0)
+    s.add_argument("--slack", type=_checked_float(bounds._check_slack), default=1.0)
     _add_units_flags(s)
     s.set_defaults(func=_cmd_sweep)
 
@@ -400,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="series end time, or 'auto' for the model's orthogonalization time")
     m.add_argument("--steps", type=int, required=True)
     m.add_argument("--sigma0", default="1lp", help="initial probe width (default 1lp)")
-    m.add_argument("--eps", type=float, default=0.01,
+    m.add_argument("--eps", type=_checked_float(dynamics._check_eps), default=0.01,
                    help="near-orthogonality threshold for auto t-max")
     _add_units_flags(m)
     m.set_defaults(func=_cmd_simulate)

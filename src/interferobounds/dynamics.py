@@ -272,6 +272,11 @@ def displacement_branches(p: ScenarioParams, sigma0: float, t: float) -> BranchP
     return BranchPair(left, right, overlap(left, right))
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise InvalidInputError(f"eps must lie in (0, 1), got {eps!r}")
+
+
 def orthogonalization_time(
     p: ScenarioParams, sigma0: float = 1.0, eps: float = 0.01
 ) -> float:
@@ -280,8 +285,7 @@ def orthogonalization_time(
     Brackets by doubling from t = 1e-9*r, then bisects to 1e-9 relative
     width.  Raises ConvergenceError if no crossing exists below t = 1e6*r.
     """
-    if not 0.0 < eps < 1.0:
-        raise InvalidInputError(f"eps must lie in (0, 1), got {eps!r}")
+    _check_eps(eps)
 
     def magnitude(t: float) -> float:
         return displacement_branches(p, sigma0, t).overlap_magnitude

@@ -26,6 +26,7 @@ from interferobounds.units import (
 )
 
 from eta_oracle import optimize_eta
+from freeze_baselines import GOLDEN_COMMANDS
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
@@ -291,29 +292,8 @@ def test_criterion_9_units_round_trip():
 
 
 def test_criterion_10_cli_golden_files():
-    cases = {
-        "bounds_gravity.json": [
-            "bounds", "--m-a", "1e6mp", "--d", "1e6lp", "--r", "1e8lp",
-        ],
-        "bounds_coulomb_phase.json": [
-            "bounds", "--coupling", "coulomb", "--q-a", "1e3", "--q-b", "1e3",
-            "--m-a", "1mp", "--m-b", "1mp", "--d", "10lp", "--r", "2000lp",
-            "--model", "phase",
-        ],
-        "causal_mixed.json": [
-            "causal", "--t-a", "1.2tp", "--t-b", "0.6tp", "--r", "1lp",
-        ],
-        "sweep_eta.csv": [
-            "sweep", "--sweep", "eta", "--from", "0.001", "--to", "0.999",
-            "--points", "5", "--m-a", "1mp", "--d", "1lp",
-        ],
-        "simulate_phase.csv": [
-            "simulate", "--model", "phase", "--m-a", "1mp", "--m-b", "1mp",
-            "--d", "10lp", "--r", "1000lp", "--t-max", "auto", "--steps", "4",
-        ],
-    }
     ok = True
-    for name, argv in cases.items():
+    for name, argv in GOLDEN_COMMANDS.items():
         first = subprocess.run(
             [sys.executable, "-m", "interferobounds", *argv], capture_output=True
         )

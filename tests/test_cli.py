@@ -9,7 +9,9 @@ import pytest
 
 from interferobounds import __version__, bounds, cli
 from interferobounds.cli import main
+from interferobounds.errors import NonFiniteError
 from interferobounds.scenario import CouplingKind, ScenarioParams
+from interferobounds.units import CHARGE, LENGTH, MASS, TIME, Quantity, to_planck
 
 from freeze_baselines import DATA, GOLDEN_COMMANDS
 
@@ -178,6 +180,20 @@ def test_unwritable_out_is_invalid_input(tmp_path):
           "--d", "3.8161681044464944e+121m", "--r", "-1.0820264477987957e+289m",
           "--model", "displacement", "--t-max", "2.315552542351297e+48s", "--steps", "1",
           "--sigma0", "1.0730909198330734e+226m"], "nonpositive length"),
+        # Flags the chosen model does not read are checked all the same.
+        (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
+          "--t-max", "1tp", "--steps", "2", "--sigma0", "-1lp"], "nonpositive length --sigma0"),
+        (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
+          "--t-max", "1tp", "--steps", "2", "--sigma0", "0lp"], "nonpositive length sigma0"),
+        (["simulate", "--model", "displacement", "--m-a", "1e9mp", "--d", "1e6lp",
+          "--r", "1e8lp", "--t-max", "1tp", "--steps", "1", "--eps", "5"], "eps must lie in (0, 1)"),
+        (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
+          "--t-max", "1tp", "--steps", "2", "--eps", "nan"], "eps must lie in (0, 1)"),
+        # A negative value is refused as its flag is read, naming the flag.
+        (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
+          "--t-max", "-1tp", "--steps", "2"], "nonpositive time --t-max '-1tp'"),
+        (["sweep", "--sweep", "r", "--m-a", "1e9mp", "--d", "1e4lp", "--from", "-1lp",
+          "--to", "1e8lp", "--points", "3"], "nonpositive length --from '-1lp'"),
     ],
 )
 def test_usage_errors_emit_json_error(argv, fragment):
@@ -320,33 +336,45 @@ def test_non_finite_csv_writes_no_out_file(tmp_path, capsys):
     assert not out.exists()
 
 
-def _log_uniform(rng, unit=""):
-    return f"{10.0 ** rng.uniform(-300.0, 300.0)!r}{unit}"
+# Each quantity kind: its Planck suffix (a charge has none), SI suffix and
+# dimension.
+_SUFFIX = {"mass": ("mp", "kg", MASS), "length": ("lp", "m", LENGTH),
+           "time": ("tp", "s", TIME), "charge": ("", "C", CHARGE)}
 
 
-def _contract_argv(rng):
+def _planck_token(rng, kind, value):
+    return f"{value!r}{_SUFFIX[kind][0]}"
+
+
+def _contract_argv(rng, token=_planck_token):
     """One seeded invocation of any subcommand with log-uniform inputs
-    from 1e-300 to 1e300 in Planck units."""
+    from 1e-300 to 1e300, each quantity written by token(rng, kind, value);
+    by default a positive value in Planck units."""
+
+    def log_uniform(kind):
+        return token(rng, kind, 10.0 ** rng.uniform(-300.0, 300.0))
+
     command = rng.choice(("bounds", "sweep", "simulate", "causal"))
     if command == "causal":
-        argv = ["causal", "--t-a", _log_uniform(rng, "tp"), "--t-b", _log_uniform(rng, "tp"),
-                "--r", _log_uniform(rng, "lp")]
+        argv = ["causal", "--t-a", log_uniform("time"), "--t-b", log_uniform("time"),
+                "--r", log_uniform("length")]
         return argv + ["--non-strict"] * rng.randint(0, 1)
-    units = {"m_a": "mp", "m_b": "mp", "d": "lp", "r": "lp"}
-    swept = rng.choice((*units, "eta")) if command == "sweep" else None
+    kinds = {"m_a": "mass", "m_b": "mass", "d": "length", "r": "length"}
+    swept = rng.choice((*kinds, "eta")) if command == "sweep" else None
     argv = [command]
-    for name, unit in units.items():
+    for name, kind in kinds.items():
         if name != swept and not (swept == "eta" and name == "r"):
-            argv += [f"--{name.replace('_', '-')}", _log_uniform(rng, unit)]
+            argv += [f"--{name.replace('_', '-')}", log_uniform(kind)]
     if rng.random() < 0.5:
-        argv += ["--coupling", "coulomb", "--q-a", _log_uniform(rng), "--q-b", _log_uniform(rng)]
+        argv += ["--coupling", "coulomb", "--q-a", log_uniform("charge"),
+                 "--q-b", log_uniform("charge")]
     if rng.random() < 0.5:
-        argv += ["--dx-min", _log_uniform(rng, "lp")]
+        argv += ["--dx-min", log_uniform("length")]
     argv += ["--override-geometry"] * rng.randint(0, 1)
     if command == "simulate":
-        t_max = "auto" if rng.random() < 0.5 else _log_uniform(rng, "tp")
+        t_max = "auto" if rng.random() < 0.5 else log_uniform("time")
         return argv + ["--model", rng.choice(("displacement", "phase")), "--t-max", t_max,
-                       "--steps", str(rng.randint(1, 4)), "--sigma0", _log_uniform(rng, "lp")]
+                       "--steps", str(rng.randint(1, 4)), "--sigma0", log_uniform("length")]
     argv += ["--model", rng.choice(("displacement", "phase", "both"))]
     if command == "bounds":
         return argv
@@ -355,7 +383,7 @@ def _contract_argv(rng):
         grid = [repr(lo), repr(hi)]
     else:
         lo = 10.0 ** rng.uniform(-300.0, 290.0)
-        grid = [f"{v!r}{units[swept]}" for v in (lo, lo * 10.0 ** rng.uniform(0.0, 10.0))]
+        grid = [token(rng, kinds[swept], v) for v in (lo, lo * 10.0 ** rng.uniform(0.0, 10.0))]
     return argv + ["--sweep", swept, "--from", grid[0], "--to", grid[1],
                    "--points", str(rng.randint(2, 4))] + ["--log"] * rng.randint(0, 1)
 
@@ -363,23 +391,64 @@ def _contract_argv(rng):
 _EXIT_FOR_CODE = {"invalid-input": 2, "out-of-range": 2, "no-convergence": 3}
 
 
+def _run_contract(argv, capsys):
+    """Run main in-process and check the CLI contract; returns the error
+    code, or None on success."""
+    try:
+        rc = main(argv)
+    except BaseException as exc:  # nothing, SystemExit included, may escape main
+        pytest.fail(f"{argv} raised {exc!r}")
+    out = capsys.readouterr().out
+    if rc == 0 and argv[0] in ("bounds", "causal"):
+        assert "results" in json.loads(out, parse_constant=_reject_constant), argv
+    elif rc == 0:
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        assert rows and all(math.isfinite(float(v)) for l in rows for v in l.split(",")), argv
+    else:
+        err = json.loads(out)["error"]
+        assert _EXIT_FOR_CODE[err["code"]] == rc, (argv, err)
+        return err["code"]
+    return None
+
+
 def test_cli_contract_holds_for_extreme_inputs(capsys):
     rng = random.Random(2405)
     for _ in range(1000):
-        argv = _contract_argv(rng)
-        try:
-            rc = main(argv)
-        except BaseException as exc:  # nothing, SystemExit included, may escape main
-            pytest.fail(f"{argv} raised {exc!r}")
-        out = capsys.readouterr().out
-        if rc == 0 and argv[0] in ("bounds", "causal"):
-            assert "results" in json.loads(out, parse_constant=_reject_constant), argv
-        elif rc == 0:
-            rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
-            assert rows and all(math.isfinite(float(v)) for l in rows for v in l.split(",")), argv
-        else:
-            err = json.loads(out)["error"]
-            assert _EXIT_FOR_CODE[err["code"]] == rc, (argv, err)
+        _run_contract(_contract_argv(rng), capsys)
+
+
+_EPS_INSIDE = ["0.01", "0.5", "1e-300", "0.9999999999999999"]
+_EPS_OUTSIDE = ["0", "1", "5", "-0.5", "nan", "inf"]
+
+
+def test_cli_contract_holds_for_si_negative_and_eps_inputs(capsys):
+    # About half the quantities carry an SI suffix and one value in ten is
+    # negated.  A negative value is refused as its flag is read, so a draw
+    # whose only fault is a negative quantity must give invalid-input;
+    # an SI value with no finite Planck value can fault first.
+    rng = random.Random(2406)
+    for _ in range(1000):
+        faults = set()
+
+        def token(rng, kind, value):
+            if rng.random() < 0.1:
+                value = -value
+                faults.add("negative")
+            planck, si, dim = _SUFFIX[kind]
+            if rng.random() < 0.5:
+                return f"{value!r}{planck}"
+            try:
+                to_planck(Quantity(abs(value), dim))
+            except NonFiniteError:
+                faults.add("overflow")
+            return f"{value!r}{si}"
+
+        argv = _contract_argv(rng, token)
+        if argv[0] == "simulate":
+            argv += ["--eps", rng.choice(rng.choice((_EPS_INSIDE, _EPS_OUTSIDE)))]
+        code = _run_contract(argv, capsys)
+        if faults == {"negative"}:
+            assert code == "invalid-input", argv
 
 
 def test_simulate_non_convergence_exits_3():
