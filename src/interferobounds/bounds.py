@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from . import causal
 from .errors import GeometryError, InvalidInputError
-from .scenario import CouplingKind, ScenarioParams
+from .scenario import CouplingKind, ScenarioParams, _check_positive
 
 _MODES = ("approx", "exact")
 
@@ -41,15 +41,15 @@ def _geometry_gate(p: ScenarioParams) -> None:
 
 def ta_tb_min_one_way(r: float) -> float:
     """Single light-crossing floor on T_A + T_B: R/c."""
-    if r <= 0.0:
-        raise InvalidInputError(f"nonpositive length r = {r!r}")
+    if not r > 0.0:
+        _check_positive("r", "length", r)
     return r
 
 
 def ta_tb_min_round_trip(r: float) -> float:
     """Round-trip floor on T_A + T_B: 2R/c, twice the one-way bound."""
-    if r <= 0.0:
-        raise InvalidInputError(f"nonpositive length r = {r!r}")
+    if not r > 0.0:
+        _check_positive("r", "length", r)
     return 2.0 * r
 
 
@@ -75,8 +75,8 @@ def differential_force(p: ScenarioParams, mode: str = "approx") -> float:
 def displacement_shift(delta_f: float, m_b: float, t: float) -> float:
     """Position shift delta_f*t^2/(2*m_b) accumulated under a constant
     differential force."""
-    if m_b <= 0.0:
-        raise InvalidInputError(f"nonpositive mass m_b = {m_b!r}")
+    if not m_b > 0.0:
+        _check_positive("m_b", "mass", m_b)
     if t < 0.0 or not math.isfinite(t):
         raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
     if delta_f < 0.0 or not math.isfinite(delta_f):
@@ -97,34 +97,22 @@ def tb_displacement(p: ScenarioParams, slack: float = 1.0) -> float:
     return math.sqrt(2.0 * slack * dx * p.m_b * p.r ** 3 / (p.pair_coupling * p.d))
 
 
-def _check_eta_args(eta: float, m_a: float, d: float) -> None:
-    if not 0.0 < eta < 1.0:
-        raise InvalidInputError(f"eta must lie in the open interval (0, 1), got {eta!r}")
-    if m_a <= 0.0:
-        raise InvalidInputError(f"nonpositive mass m_a = {m_a!r}")
-    if d <= 0.0:
-        raise InvalidInputError(f"nonpositive length d = {d!r}")
-
-
 def tb_eta(eta: float, m_a: float, d: float) -> float:
     """Probe time when it uses the fraction eta of the round-trip budget:
     4*eta^3*m_a*d."""
-    _check_eta_args(eta, m_a, d)
-    return 4.0 * eta ** 3 * m_a * d
+    return eta_row(eta, m_a, d)[0]
 
 
 def ta_lower_bound(eta: float, m_a: float, d: float) -> float:
     """Interferometer time floor left over at fraction eta:
     4*(eta^2 - eta^3)*m_a*d."""
-    _check_eta_args(eta, m_a, d)
-    return 4.0 * (eta ** 2 - eta ** 3) * m_a * d
+    return eta_row(eta, m_a, d)[1]
 
 
 def r_implied(eta: float, m_a: float, d: float) -> float:
     """Separation whose round-trip budget 2R/c tb_eta and ta_lower_bound
     fill exactly at fraction eta: 2*eta^2*m_a*d."""
-    _check_eta_args(eta, m_a, d)
-    return 2.0 * eta * eta * m_a * d
+    return eta_row(eta, m_a, d)[3]
 
 
 # The columns of an eta sweep and their provenance; eta_row gives their values.
@@ -137,18 +125,25 @@ ETA_COLUMNS = (
 
 
 def eta_row(eta: float, m_a: float, d: float) -> tuple[float, float, float, float]:
-    """The ETA_COLUMNS values at fraction eta."""
-    tb = tb_eta(eta, m_a, d)
-    ta = ta_lower_bound(eta, m_a, d)
-    return tb, ta, ta + tb, r_implied(eta, m_a, d)
+    """The ETA_COLUMNS values at fraction eta; the eta family's one evaluation."""
+    if not 0.0 < eta < 1.0:
+        raise InvalidInputError(f"eta must lie in the open interval (0, 1), got {eta!r}")
+    if not m_a > 0.0:
+        _check_positive("m_a", "mass", m_a)
+    if not d > 0.0:
+        _check_positive("d", "length", d)
+    eta3 = eta ** 3
+    tb = 4.0 * eta3 * m_a * d
+    ta = 4.0 * (eta ** 2 - eta3) * m_a * d
+    return tb, ta, ta + tb, 2.0 * eta * eta * m_a * d
 
 
 def ta_min_round_trip(m_a: float, d: float) -> float:
     """Strongest interferometer time floor: (16/27)*m_a*d."""
-    if m_a <= 0.0:
-        raise InvalidInputError(f"nonpositive mass m_a = {m_a!r}")
-    if d <= 0.0:
-        raise InvalidInputError(f"nonpositive length d = {d!r}")
+    if not m_a > 0.0:
+        _check_positive("m_a", "mass", m_a)
+    if not d > 0.0:
+        _check_positive("d", "length", d)
     return _TA_COEFFICIENT * m_a * d
 
 
@@ -166,10 +161,10 @@ def r_max_displacement(m_a: float, d: float, slack: float = 1.0) -> float:
     dx_min is left out, so this matches displacement_backreaction_free
     only for dx_min = 1 l_P.
     """
-    if m_a <= 0.0:
-        raise InvalidInputError(f"nonpositive mass m_a = {m_a!r}")
-    if d <= 0.0:
-        raise InvalidInputError(f"nonpositive length d = {d!r}")
+    if not m_a > 0.0:
+        _check_positive("m_a", "mass", m_a)
+    if not d > 0.0:
+        _check_positive("d", "length", d)
     _check_slack(slack)
     return m_a * d / (2.0 * slack)
 
@@ -206,10 +201,12 @@ def tb_phase(p: ScenarioParams, mode: str = "exact") -> float:
 def r_max_phase(m_a: float, m_b: float, d: float) -> float:
     """Largest separation for a back-reaction-free phase measurement:
     m_a*m_b*d/pi."""
-    if m_a <= 0.0 or m_b <= 0.0:
-        raise InvalidInputError("masses must be positive")
-    if d <= 0.0:
-        raise InvalidInputError(f"nonpositive length d = {d!r}")
+    if not m_a > 0.0:
+        _check_positive("m_a", "mass", m_a)
+    if not m_b > 0.0:
+        _check_positive("m_b", "mass", m_b)
+    if not d > 0.0:
+        _check_positive("d", "length", d)
     return m_a * m_b * d / math.pi
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .scenario import ScenarioParams
+from .scenario import ScenarioParams, _check_positive
 
 TIMELIKE = "timelike"
 LIGHTLIKE = "lightlike"
@@ -104,8 +104,8 @@ def check_no_signalling(p: ScenarioParams, strict: bool = True) -> CausalVerdict
 
 def meets_one_way_bound(t_a: float, t_b: float, r: float, strict: bool = True) -> bool:
     """Weaker single light-crossing criterion: T_A + T_B vs R/c."""
-    if r <= 0.0:
-        raise InvalidInputError(f"nonpositive length r = {r!r}")
+    if not r > 0.0:
+        _check_positive("r", "length", r)
     total = t_a + t_b
     return total > r if strict else total >= r
 
@@ -113,13 +113,13 @@ def meets_one_way_bound(t_a: float, t_b: float, r: float, strict: bool = True) -
 def backreaction_free(t_b: float, r: float) -> bool:
     """True iff the probe finishes before its own field disturbance could
     return: T_B < R/c, strictly."""
-    if r <= 0.0:
-        raise InvalidInputError(f"nonpositive length r = {r!r}")
+    if not r > 0.0:
+        _check_positive("r", "length", r)
     return t_b < r
 
 
 def retarded_source_time(t_obs: float, r: float) -> float:
     """Source time whose field a probe at distance r samples at t_obs."""
-    if r < 0.0:
-        raise InvalidInputError(f"negative length r = {r!r}")
+    if not r >= 0.0:
+        raise InvalidInputError(f"length r must be nonnegative, got {r!r}")
     return t_obs - r

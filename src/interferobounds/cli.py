@@ -79,18 +79,15 @@ def _parse_quantity(flag: str, text: str, kind: str, units_mode: str) -> tuple[f
 
 def _read_quantities(args, names) -> tuple[dict, dict]:
     """Parse the named quantity flags that were given into ({name: planck
-    value}, input echo).  m_a, d and r must be given wherever they are named."""
+    value}, input echo)."""
     planck: dict = {}
     echo: dict = {"units": args.units}
     for name in names:
         raw = getattr(args, name)
-        flag = f"--{name.replace('_', '-')}"
         if raw is None:
-            if name in ("m_a", "d", "r"):
-                raise InvalidInputError(f"missing required parameter {flag}")
             continue
         kind = _QUANTITY_FLAGS[name]
-        p_val, si_val = _parse_quantity(flag, raw, kind, args.units)
+        p_val, si_val = _parse_quantity(f"--{name.replace('_', '-')}", raw, kind, args.units)
         planck[name] = p_val
         echo[name] = {"planck": p_val, "si": si_val, "si_unit": _si_unit(_KINDS[kind][0])}
     return planck, echo
@@ -127,10 +124,9 @@ def _fmt(value) -> str:
     return _NUMBER % value
 
 
-def _scenario_from_args(args, skip: tuple[str, ...] = ()):
+def _scenario_from_args(args):
     """Build ScenarioParams from parsed flags; returns (params, input_echo)."""
-    names = [n for n in ("m_a", "m_b", "d", "r", "q_a", "q_b", "dx_min") if n not in skip]
-    planck, echo = _read_quantities(args, names)
+    planck, echo = _read_quantities(args, ("m_a", "m_b", "d", "r", "q_a", "q_b", "dx_min"))
     echo["coupling"] = args.coupling
     echo["r_over_d_min"] = args.r_over_d_min
     params = ScenarioParams(
@@ -256,7 +252,12 @@ def _grid(lo: float, hi: float, points: int, log: bool):
 
 def _cmd_sweep(args) -> int:
     name = args.sweep
-    params, _ = _scenario_from_args(args, skip=("r",) if name == "eta" else (name,))
+    # The swept flag need not be given (nor --r for eta), but is read if it is.
+    swept = "r" if name == "eta" else name
+    for needed in ("m_a", "d", "r"):
+        if needed != swept and getattr(args, needed) is None:
+            raise InvalidInputError(f"missing required parameter --{needed.replace('_', '-')}")
+    params, _ = _scenario_from_args(args)
     if name == "eta":
         lo = _parse_bare(args.sweep_from, "eta from")
         hi = _parse_bare(args.to, "eta to")
@@ -437,10 +438,8 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def _emit_error(code: str, exc: Exception) -> None:
-    sys.stdout.write(
-        json.dumps({"error": {"code": code, "message": str(exc)}}, indent=2, sort_keys=True)
-        + "\n"
-    )
+    # Always to stdout, even when --out is given.
+    _emit_json(None, {"error": {"code": code, "message": str(exc)}})
 
 
 def main(argv=None) -> int:

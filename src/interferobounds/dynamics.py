@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import bounds
 from .errors import ConvergenceError, InvalidInputError, NonFiniteError
-from .scenario import ScenarioParams
+from .scenario import ScenarioParams, _check_positive
 
 # Relative tolerance on det(cov) = 1/4 when a pure-state wavefunction is needed.
 _PURITY_RTOL = 1e-6
@@ -119,10 +119,10 @@ class GaussianState:
 
 def ground_state(m: float, omega: float) -> GaussianState:
     """Trap ground state: minimum uncertainty, sigma_x = sqrt(1/(2*m*omega))."""
-    if m <= 0.0:
-        raise InvalidInputError(f"nonpositive mass m = {m!r}")
-    if omega <= 0.0:
-        raise InvalidInputError(f"nonpositive frequency omega = {omega!r}")
+    if not m > 0.0:
+        _check_positive("m", "mass", m)
+    if not omega > 0.0:
+        _check_positive("omega", "frequency", omega)
     sx2 = 1.0 / (2.0 * m * omega)
     sp2 = 0.5 * m * omega
     return GaussianState(0.0, 0.0, ((sx2, 0.0), (0.0, sp2)), 0.0)
@@ -130,8 +130,8 @@ def ground_state(m: float, omega: float) -> GaussianState:
 
 def ground_state_with_width(m: float, sigma_x: float) -> GaussianState:
     """Trap ground state with a chosen position width (omega = 1/(2*m*sigma_x^2))."""
-    if sigma_x <= 0.0:
-        raise InvalidInputError(f"nonpositive width sigma_x = {sigma_x!r}")
+    if not sigma_x > 0.0:
+        _check_positive("sigma_x", "width", sigma_x)
     scale = 2.0 * m * sigma_x * sigma_x
     if scale == math.inf:
         raise NonFiniteError(f"2*m*sigma_x^2 overflows at m = {m!r}, sigma_x = {sigma_x!r}")
@@ -149,8 +149,8 @@ def evolve_constant_force(
     """
     if t < 0.0 or not math.isfinite(t):
         raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
-    if m <= 0.0:
-        raise InvalidInputError(f"nonpositive mass m = {m!r}")
+    if not m > 0.0:
+        _check_positive("m", "mass", m)
     if not math.isfinite(force):
         raise NonFiniteError(f"force must be finite, got {force!r}")
     tau = t / m

@@ -215,8 +215,6 @@ def _si_unit(dim: Dimension) -> str:
 
 def to_planck(q: Quantity) -> float:
     """Express a quantity in the Planck unit of its dimension."""
-    if q.dim == DIMENSIONLESS:
-        return q.value
     try:
         return float(Fraction(q.value) / _planck_factor(q.dim))
     except OverflowError:
@@ -230,8 +228,6 @@ def from_planck(x: float, dim: Dimension) -> Quantity:
     x = float(x)
     if not math.isfinite(x):
         raise InvalidInputError(f"planck value must be finite, got {x!r}")
-    if dim == DIMENSIONLESS:
-        return Quantity(x, dim)
     try:
         return Quantity(float(Fraction(x) * _planck_factor(dim)), dim)
     except OverflowError:

@@ -43,6 +43,21 @@ _CHECKS = {
     "meets_one_way_bound r=0": lambda: causal.meets_one_way_bound(1.0, 1.0, 0.0),
     "meets_one_way_bound r<0": lambda: causal.meets_one_way_bound(1.0, 1.0, -1.0),
     "retarded_source_time r<0": lambda: causal.retarded_source_time(0.0, -1.0),
+    # NaN fails every positivity comparison.
+    "ta_tb_min_one_way r=nan": lambda: bounds.ta_tb_min_one_way(math.nan),
+    "ta_tb_min_round_trip r=nan": lambda: bounds.ta_tb_min_round_trip(math.nan),
+    "displacement_shift m_b=nan": lambda: bounds.displacement_shift(1.0, math.nan, 1.0),
+    "tb_eta m_a=nan": lambda: bounds.tb_eta(0.5, math.nan, 1.0),
+    "ta_lower_bound d=nan": lambda: bounds.ta_lower_bound(0.5, 1.0, math.nan),
+    "r_implied m_a=nan": lambda: bounds.r_implied(0.5, math.nan, 1.0),
+    "eta_row d=nan": lambda: bounds.eta_row(0.5, 1.0, math.nan),
+    "ta_min_round_trip m_a=nan": lambda: bounds.ta_min_round_trip(math.nan, 1.0),
+    "ta_min_one_way d=nan": lambda: bounds.ta_min_one_way(1.0, math.nan),
+    "r_max_displacement d=nan": lambda: bounds.r_max_displacement(1.0, math.nan),
+    "r_max_phase m_b=nan": lambda: bounds.r_max_phase(1.0, math.nan, 1.0),
+    "meets_one_way_bound r=nan": lambda: causal.meets_one_way_bound(1.0, 1.0, math.nan),
+    "backreaction_free r=nan": lambda: causal.backreaction_free(1.0, math.nan),
+    "retarded_source_time r=nan": lambda: causal.retarded_source_time(0.0, math.nan),
     "coulomb without charges": lambda: ScenarioParams(
         m_a=1.0, d=1.0, r=1000.0, coupling=CouplingKind.COULOMB, q_a=1e3),
     "'coulomb' without charges": lambda: ScenarioParams(
@@ -68,6 +83,46 @@ _CHECKS = {
 def test_argument_check_raises_invalid_input(call):
     with pytest.raises(InvalidInputError):
         call()
+
+
+# Calls whose one argument named by the ScenarioParams field is v.
+_FIELD_CHECKS = [
+    ("m_a", lambda v: bounds.ta_min_round_trip(v, 1.0)),
+    ("m_b", lambda v: bounds.r_max_phase(1.0, v, 1.0)),
+    ("d", lambda v: bounds.r_max_displacement(1.0, v)),
+    ("r", lambda v: causal.backreaction_free(1.0, v)),
+]
+
+
+@pytest.mark.parametrize("field, call", _FIELD_CHECKS, ids=[f for f, _ in _FIELD_CHECKS])
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.0, -math.inf, math.nan])
+def test_positivity_check_words_its_error_as_scenario_params(field, call, value):
+    with pytest.raises(InvalidInputError) as expected:
+        ScenarioParams(**{**dict(m_a=1.0, d=1.0, r=1.0), field: value})
+    with pytest.raises(InvalidInputError) as got:
+        call(value)
+    assert str(got.value) == str(expected.value)
+
+
+# +inf passes every positivity check, so an overflowed input gives an
+# overflowed result instead of an error.
+_INFINITE_ARGUMENT = {
+    "ta_tb_min_one_way": (lambda: bounds.ta_tb_min_one_way(math.inf), math.inf),
+    "ta_tb_min_round_trip": (lambda: bounds.ta_tb_min_round_trip(math.inf), math.inf),
+    "eta_row": (lambda: bounds.eta_row(0.5, math.inf, 1.0), (math.inf,) * 4),
+    "tb_eta": (lambda: bounds.tb_eta(0.5, 1.0, math.inf), math.inf),
+    "ta_min_one_way": (lambda: bounds.ta_min_one_way(math.inf, 1.0), math.inf),
+    "r_max_displacement": (lambda: bounds.r_max_displacement(1.0, math.inf), math.inf),
+    "r_max_phase": (lambda: bounds.r_max_phase(1.0, math.inf, 1.0), math.inf),
+    "retarded_source_time": (lambda: causal.retarded_source_time(0.0, math.inf), -math.inf),
+    "backreaction_free": (lambda: causal.backreaction_free(1.0, math.inf), True),
+    "meets_one_way_bound": (lambda: causal.meets_one_way_bound(1.0, 1.0, math.inf), False),
+}
+
+
+@pytest.mark.parametrize("call, expected", _INFINITE_ARGUMENT.values(), ids=_INFINITE_ARGUMENT)
+def test_infinite_argument_gives_a_result(call, expected):
+    assert call() == expected
 
 
 def test_report_rejects_unknown_attribute():

@@ -9,8 +9,10 @@ from interferobounds.bounds import (
     BoundsReport,
     differential_force,
     displacement_shift,
+    eta_row,
     feasibility_report,
     phase_difference,
+    r_implied,
     r_max_displacement,
     r_max_phase,
     ta_lower_bound,
@@ -218,6 +220,20 @@ def test_eta_identity_web():
             assert ta_lower_bound(eta, m_a, d) == pytest.approx(
                 ta_tb_min_round_trip(r) - tb, rel=1e-12
             )
+
+
+def test_eta_family_equals_closed_forms_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for _ in range(2000):
+        eta = float(rng.uniform(1e-6, 1.0 - 1e-6))
+        m_a = float(10.0 ** rng.uniform(-160, 160))
+        d = float(10.0 ** rng.uniform(-160, 160))
+        tb = 4.0 * eta ** 3 * m_a * d
+        ta = 4.0 * (eta ** 2 - eta ** 3) * m_a * d
+        r = 2.0 * eta * eta * m_a * d
+        assert (tb_eta(eta, m_a, d), ta_lower_bound(eta, m_a, d), r_implied(eta, m_a, d)) == (
+            tb, ta, r)
+        assert eta_row(eta, m_a, d) == (tb, ta, ta + tb, r)
 
 
 def test_optimize_eta_matches_analytic():

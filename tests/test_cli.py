@@ -194,6 +194,11 @@ def test_unwritable_out_is_invalid_input(tmp_path):
           "--t-max", "-1tp", "--steps", "2"], "nonpositive time --t-max '-1tp'"),
         (["sweep", "--sweep", "r", "--m-a", "1e9mp", "--d", "1e4lp", "--from", "-1lp",
           "--to", "1e8lp", "--points", "3"], "nonpositive length --from '-1lp'"),
+        # A sweep reads the flag it varies too, and --r under an eta sweep.
+        (["sweep", "--sweep", "r", "--r", "xyz", "--m-a", "1e9mp", "--d", "1e4lp",
+          "--from", "1e6lp", "--to", "1e8lp", "--points", "2"], "cannot parse quantity 'xyz'"),
+        (["sweep", "--sweep", "eta", "--r", "-5lp", "--m-a", "1mp", "--d", "1lp",
+          "--from", "0.1", "--to", "0.9", "--points", "2"], "nonpositive length --r '-5lp'"),
     ],
 )
 def test_usage_errors_emit_json_error(argv, fragment):
@@ -513,6 +518,18 @@ def test_two_point_sweep_matches_bounds_runs():
         ).stdout)
         for col in ("tb_displacement", "ta_min_round_trip", "r_max_phase"):
             assert row[header.index(col)] == env["results"][col]
+
+
+def test_valid_swept_flag_is_unused(capsys):
+    r_sweep = ["sweep", "--sweep", "r", "--m-a", "1e9mp", "--d", "1e4lp",
+               "--from", "1e6lp", "--to", "1e8lp", "--points", "3"]
+    eta_sweep = ["sweep", "--sweep", "eta", "--m-a", "1mp", "--d", "1lp",
+                 "--from", "0.1", "--to", "0.9", "--points", "3"]
+    for argv in (r_sweep, eta_sweep):
+        assert main(argv) == 0
+        without = capsys.readouterr().out
+        assert main(argv + ["--r", "5lp"]) == 0
+        assert capsys.readouterr().out == without
 
 
 def _sweep_case(rng, name, coulomb):
