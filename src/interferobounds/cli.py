@@ -18,6 +18,7 @@ import math
 import re
 import sys
 from dataclasses import replace
+from itertools import chain
 
 from . import __version__, bounds, causal, dynamics
 from .errors import ConvergenceError, InvalidInputError
@@ -100,21 +101,6 @@ def _parse_bare(text: str, name: str) -> float:
         raise InvalidInputError(f"{name} must be a plain number, got {text!r}") from None
 
 
-def _checked_float(check):
-    """An argparse type: a float that check accepts, so that --slack and
-    --eps are checked even where a model echoes or ignores them."""
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-            check(value)
-        except ValueError as exc:  # InvalidInputError is a ValueError
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-
-    return parse
-
-
 # How every number is written as text: 17 significant digits give back the
 # same double when read, and a bool prints as 1 or 0.
 _NUMBER = "%.17g"
@@ -193,6 +179,7 @@ def _csv(comments: list[str], header: list[str], rows) -> str:
 
 
 def _cmd_bounds(args) -> int:
+    bounds._check_slack(args.slack)
     params, echo = _scenario_from_args(args)
     echo["model"] = args.model
     echo["slack"] = args.slack
@@ -207,7 +194,7 @@ def _cmd_causal(args) -> int:
     r_p, ta_p, tb_p = planck["r"], planck["t_a"], planck["t_b"]
     strict = echo["strict"] = not args.non_strict
     # Masses and separation are irrelevant to the timing checks.
-    params = ScenarioParams(m_a=1.0, d=r_p, r=r_p, t_a=ta_p, t_b=tb_p)
+    params = ScenarioParams(m_a=1.0, d=1.0, r=r_p, t_a=ta_p, t_b=tb_p)
     verdict = causal.check_no_signalling(params, strict=strict)
     timeline = causal.build_timeline(params)
     results = {
@@ -236,21 +223,25 @@ def _cmd_causal(args) -> int:
 
 
 def _grid(lo: float, hi: float, points: int, log: bool):
-    """points values from lo to hi, evenly spaced on a linear or log scale."""
+    """points values from exactly lo to exactly hi, evenly spaced on a
+    linear or log scale; between finite ends >= 0, none overflows."""
     if points < 2:
         raise InvalidInputError(f"points must be >= 2, got {points}")
     if not lo < hi:
         raise InvalidInputError(f"sweep needs from < to, got {lo!r} .. {hi!r}")
     n = points - 1
     if not log:
-        return (lo + i * (hi - lo) / n for i in range(points))
-    if lo <= 0.0:
+        inner = (lo + (hi - lo) * (i / n) for i in range(1, n))
+    elif lo <= 0.0:
         raise InvalidInputError("log scale requires from > 0")
-    la, lb = math.log10(lo), math.log10(hi)
-    return (10.0 ** (la + i * (lb - la) / n) for i in range(points))
+    else:
+        la, lb = math.log10(lo), math.log10(hi)
+        inner = (10.0 ** (la + i * (lb - la) / n) for i in range(1, n))
+    return chain((lo,), inner, (hi,))
 
 
 def _cmd_sweep(args) -> int:
+    bounds._check_slack(args.slack)
     name = args.sweep
     # The swept flag need not be given (nor --r for eta), but is read if it is.
     swept = "r" if name == "eta" else name
@@ -291,6 +282,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    dynamics._check_eps(args.eps)
     params, _ = _scenario_from_args(args)
     sigma0 = _read_quantities(args, ("sigma0",))[0]["sigma0"]
     _check_positive("sigma0", "length", sigma0)
@@ -305,13 +297,9 @@ def _cmd_simulate(args) -> int:
     else:
         t_max, _ = _parse_quantity("--t-max", args.t_max, "time", args.units)
 
-    times = (
-        [0.0]
-        if t_max == 0.0
-        else [t_max * i / args.steps for i in range(args.steps + 1)]
-    )
-    if not math.isfinite(times[-1]):
+    if not math.isfinite(t_max):
         raise ArithmeticError(f"the time grid to t-max {t_max!r} in {args.steps} steps overflows")
+    times = [0.0] if t_max == 0.0 else _grid(0.0, t_max, args.steps + 1, False)
     comments = [
         f"interferobounds {__version__}",
         f"simulate {args.model} t_max {_fmt(t_max)} steps {args.steps} (planck units)",
@@ -379,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="JSON feasibility report for one scenario")
     _add_scenario_flags(b, required=("m_a", "d", "r"))
     b.add_argument("--model", choices=("displacement", "phase", "both"), default="both")
-    b.add_argument("--slack", type=_checked_float(bounds._check_slack), default=1.0,
+    b.add_argument("--slack", type=float, default=1.0,
                    help="multiplier on the displacement target (default 1)")
     _add_units_flags(b)
     b.set_defaults(func=_cmd_bounds)
@@ -392,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--points", type=int, required=True)
     s.add_argument("--log", action="store_true", help="logarithmic grid")
     s.add_argument("--model", choices=("displacement", "phase", "both"), default="both")
-    s.add_argument("--slack", type=_checked_float(bounds._check_slack), default=1.0)
+    s.add_argument("--slack", type=float, default=1.0)
     _add_units_flags(s)
     s.set_defaults(func=_cmd_sweep)
 
@@ -403,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="series end time, or 'auto' for the model's orthogonalization time")
     m.add_argument("--steps", type=int, required=True)
     m.add_argument("--sigma0", default="1lp", help="initial probe width (default 1lp)")
-    m.add_argument("--eps", type=_checked_float(dynamics._check_eps), default=0.01,
+    m.add_argument("--eps", type=float, default=0.01,
                    help="near-orthogonality threshold for auto t-max")
     _add_units_flags(m)
     m.set_defaults(func=_cmd_simulate)

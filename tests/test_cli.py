@@ -199,6 +199,8 @@ def test_unwritable_out_is_invalid_input(tmp_path):
           "--from", "1e6lp", "--to", "1e8lp", "--points", "2"], "cannot parse quantity 'xyz'"),
         (["sweep", "--sweep", "eta", "--r", "-5lp", "--m-a", "1mp", "--d", "1lp",
           "--from", "0.1", "--to", "0.9", "--points", "2"], "nonpositive length --r '-5lp'"),
+        # causal has no --d; its error names the flag it was given.
+        (["causal", "--t-a", "1tp", "--t-b", "1tp", "--r", "0lp"], "length r"),
     ],
 )
 def test_usage_errors_emit_json_error(argv, fragment):
@@ -208,6 +210,27 @@ def test_usage_errors_emit_json_error(argv, fragment):
     err = json.loads(proc.stdout)["error"]
     assert err["code"] == "invalid-input"
     assert fragment in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--m-a", "1e6mp", "--d", "1e6lp", "--r", "1e8lp", "--slack", "-1"],
+         "slack must be finite and positive, got -1.0"),
+        (["sweep", "--sweep", "eta", "--from", "0.1", "--to", "0.9", "--points", "2",
+          "--m-a", "1mp", "--d", "1lp", "--model", "phase", "--slack", "0"],
+         "slack must be finite and positive, got 0.0"),
+        (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
+          "--t-max", "1tp", "--steps", "2", "--eps", "5"], "eps must lie in (0, 1), got 5.0"),
+    ],
+)
+def test_slack_and_eps_faults_give_the_library_message(argv, message, capsys):
+    # Checked by the command that reads them, not by argparse: no usage
+    # line and no "argument --slack:" prefix.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == {"code": "invalid-input", "message": message}
+    assert captured.err == ""
 
 
 def test_usage_errors_in_process_return_two(capsys):
@@ -518,6 +541,62 @@ def test_two_point_sweep_matches_bounds_runs():
         ).stdout)
         for col in ("tb_displacement", "ta_min_round_trip", "r_max_phase"):
             assert row[header.index(col)] == env["results"][col]
+
+
+_DBL_MAX = sys.float_info.max
+_TINY = sys.float_info.min
+
+
+@pytest.mark.parametrize(
+    "lo, hi, points, log",
+    [
+        (0.0, 1.0, 5, False),
+        (0.0, 0.1, 4, False),
+        (0.001, 0.999, 8, False),
+        (1e300, 1e308, 5, False),
+        (1e308, _DBL_MAX, 2, False),
+        (0.0, _DBL_MAX, 4, False),
+        (0.0, _DBL_MAX, 9, False),
+        (_TINY, 3.0 * _TINY, 5, False),
+        (_TINY, 2.0 * _TINY, 4, False),
+        (1e6, 1e10, 3, True),
+        (0.3, 7.0, 6, True),
+        (1e300, _DBL_MAX, 3, True),
+        (1e300, _DBL_MAX, 5, True),
+        (_TINY, 1.0, 4, True),
+        (_TINY, 1e-300, 9, True),
+    ],
+)
+def test_grid_ends_exactly_and_stays_finite(lo, hi, points, log):
+    values = list(cli._grid(lo, hi, points, log))
+    assert len(values) == points
+    assert values[0] == lo and values[-1] == hi
+    assert all(map(math.isfinite, values))
+    assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+# Each grid runs from exactly its first to exactly its last value: no
+# point between finite nonnegative ends overflows.
+@pytest.mark.parametrize(
+    "argv, first, last, rows",
+    [
+        (["sweep", "--sweep", "m_b", "--from", "1e300mp", "--to", "1e308mp", "--points", "5",
+          "--m-a", "1e-300mp", "--d", "1lp", "--r", "1e3lp", "--model", "phase"],
+         1e300, 1e308, 5),
+        (["sweep", "--sweep", "m_b", "--from", "1e300mp", "--to", f"{_DBL_MAX!r}mp",
+          "--points", "3", "--log", "--m-a", "1e-300mp", "--d", "1lp", "--r", "1e3lp",
+          "--model", "phase"], 1e300, _DBL_MAX, 3),
+        (["simulate", "--model", "phase", "--m-a", "1e-300mp", "--m-b", "1e-300mp",
+          "--d", "1e3lp", "--r", "1e6lp", "--t-max", "1e308tp", "--steps", "3",
+          "--override-geometry"], 0.0, 1e308, 4),
+        (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
+          "--t-max", "0.1tp", "--steps", "3"], 0.0, 0.1, 4),
+    ],
+)
+def test_cli_grids_end_exactly(argv, first, last, rows, capsys):
+    assert main(argv) == 0
+    _, data = parse_csv(capsys.readouterr().out)
+    assert (data[0][0], data[-1][0], len(data)) == (first, last, rows)
 
 
 def test_valid_swept_flag_is_unused(capsys):
