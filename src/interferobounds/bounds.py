@@ -14,7 +14,7 @@ dependence so the dropped O(d/r) factors can be audited.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import causal
 from .errors import GeometryError, InvalidInputError
@@ -93,6 +93,10 @@ def tb_displacement(p: ScenarioParams, slack: float = 1.0) -> float:
     """
     _check_slack(slack)
     _geometry_gate(p)
+    return _tb_displacement(p, slack)
+
+
+def _tb_displacement(p: ScenarioParams, slack: float) -> float:
     dx = p.resolved_delta_x_min
     return math.sqrt(2.0 * slack * dx * p.m_b * p.r ** 3 / (p.pair_coupling * p.d))
 
@@ -192,6 +196,10 @@ def tb_phase(p: ScenarioParams, mode: str = "exact") -> float:
     """
     _check_mode(mode)
     _geometry_gate(p)
+    return _tb_phase(p, mode)
+
+
+def _tb_phase(p: ScenarioParams, mode: str) -> float:
     k = p.pair_coupling
     if mode == "approx":
         return math.pi * p.r ** 2 / (k * p.d)
@@ -212,11 +220,12 @@ def r_max_phase(m_a: float, m_b: float, d: float) -> float:
 
 # The feasibility report, one row per field in output order:
 # (field, model, provenance, value).  Rows of model None belong to every
-# report.  value(p, slack, v) may read the fields before it from v.  In
+# report.  value(p, slack, v) may read the fields before it from v, and
+# calls the far-field bodies, which skip the geometry gate.  In
 # provenance, {src}, {prb} and {pair} stand for the coupling's symbols.
 _REPORT = (
     ("tb_displacement", "displacement", "sqrt(2*slack*dx_min*m_B*R^3/(K*d))",
-     lambda p, slack, v: tb_displacement(p, slack)),
+     lambda p, slack, v: _check_slack(slack) or _tb_displacement(p, slack)),
     ("ta_min_round_trip", "displacement", "(16/27)*(K/m_B)*d",
      lambda p, slack, v: ta_min_round_trip(p.effective_source_mass, p.d)),
     ("ta_min_one_way", "displacement", "(2/27)*(K/m_B)*d",
@@ -226,9 +235,9 @@ _REPORT = (
     ("displacement_backreaction_free", "displacement", "tb_displacement < R/c",
      lambda p, slack, v: causal.backreaction_free(v["tb_displacement"], p.r)),
     ("tb_phase_exact", "phase", "pi*R*(R+d)/(K*d)",
-     lambda p, slack, v: tb_phase(p, "exact")),
+     lambda p, slack, v: _tb_phase(p, "exact")),
     ("tb_phase_approx", "phase", "pi*R^2/(K*d)",
-     lambda p, slack, v: tb_phase(p, "approx")),
+     lambda p, slack, v: _tb_phase(p, "approx")),
     ("r_max_phase", "phase", "K*d/pi",
      lambda p, slack, v: r_max_phase(p.source_strength, p.probe_strength, p.d)),
     ("phase_backreaction_free", "phase", "R < K*d/pi",
@@ -254,12 +263,6 @@ _SYMBOLS = {
     CouplingKind.GRAVITY: {"src": "m_A/m_P", "prb": "m_B/m_P", "pair": "m_A*m_B/m_P^2"},
     CouplingKind.COULOMB: {"src": "q_A/q_P", "prb": "q_B/q_P", "pair": "q_A*q_B/q_P^2"},
 }
-# Formatted once here; report_provenance hands out copies.
-_PROVENANCE = {
-    (coupling, model): {row[0]: row[2].format(**symbols) for row in rows}
-    for coupling, symbols in _SYMBOLS.items()
-    for model, rows in _ROWS.items()
-}
 
 
 def _rows(model: str) -> tuple:
@@ -270,8 +273,7 @@ def _rows(model: str) -> tuple:
     return _ROWS[model]
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """All bounds for one scenario, with per-field formula provenance.
 
     Every report field reads as an attribute.  Times in t_P, lengths in
@@ -303,19 +305,19 @@ def report_values(p: ScenarioParams, model: str = "both", slack: float = 1.0) ->
     Bounds are computed even when the far-field proxy fails; the
     geometry_valid field carries that information instead of an error.
     """
-    rows = _rows(model)
-    if not p.override_geometry:
-        p = replace(p, override_geometry=True)
     values: dict = {}
-    for name, _, _, value in rows:
+    for name, _, _, value in _rows(model):
         values[name] = value(p, slack, values)
     return values
 
 
 def report_provenance(coupling: CouplingKind, model: str = "both") -> dict:
     """Formula provenance of every report field of the requested model(s)."""
-    _rows(model)
-    return dict(_PROVENANCE[coupling, model])
+    rows = _rows(model)
+    symbols = _SYMBOLS.get(coupling)
+    if symbols is None:
+        raise InvalidInputError(f"unknown coupling {coupling!r}")
+    return {name: provenance.format(**symbols) for name, _, provenance, _ in rows}
 
 
 def feasibility_report(

@@ -17,7 +17,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
 from itertools import chain
 
 from . import __version__, bounds, causal, dynamics
@@ -263,11 +262,9 @@ def _cmd_sweep(args) -> int:
         lo, _ = _parse_quantity("--from", args.sweep_from, kind, args.units)
         hi, _ = _parse_quantity("--to", args.to, kind, args.units)
         provenance = bounds.report_provenance(params.coupling, args.model)
-        # Set once, so report_values need not copy each row's params again.
-        base = replace(params, override_geometry=True)
 
         def row(value):
-            p = replace_swept(base, name, value)
+            p = replace_swept(params, name, value)
             return (value, *bounds.report_values(p, args.model, args.slack).values())
 
     grid = _grid(lo, hi, args.points, args.log)

@@ -111,8 +111,10 @@ class ScenarioParams:
     @property
     def effective_source_mass(self) -> float:
         """K/m_b: the source strength that enters every displacement-model
-        bound.  Equals m_a for gravity.  Raises ArithmeticError if K/m_b
-        underflows to zero."""
+        bound.  Exactly m_a for gravity.  Raises ArithmeticError if a
+        coulomb K/m_b underflows to zero."""
+        if self.coupling is not CouplingKind.COULOMB:
+            return self.m_a
         m_eff = self.pair_coupling / self.m_b
         if m_eff == 0.0:
             raise ArithmeticError(

@@ -63,6 +63,7 @@ _CHECKS = {
     "'coulomb' without charges": lambda: ScenarioParams(
         m_a=1.0, d=1.0, r=1000.0, coupling="coulomb"),
     "unknown coupling": lambda: ScenarioParams(**_COULOMB, coupling="coulom"),
+    "report_provenance unknown coupling": lambda: bounds.report_provenance("foo"),
     "t_a=nan": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_a=math.nan),
     "t_a<0": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_a=-1.0),
     "t_b=inf": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_b=math.inf),

@@ -15,6 +15,8 @@ from interferobounds.bounds import (
     r_implied,
     r_max_displacement,
     r_max_phase,
+    report_provenance,
+    report_values,
     ta_lower_bound,
     ta_min_one_way,
     ta_min_round_trip,
@@ -106,16 +108,65 @@ def test_differential_force_ratio_approaches_two_monotonically():
     assert ratios[-1] == pytest.approx(2.0, abs=1e-5)
 
 
+# Every far-field function, in each of its modes, as a call on one scenario.
+_GATED = {
+    "differential_force approx": lambda p: differential_force(p, "approx"),
+    "differential_force exact": lambda p: differential_force(p, "exact"),
+    "tb_displacement": lambda p: tb_displacement(p, 2.0),
+    "tb_phase approx": lambda p: tb_phase(p, "approx"),
+    "tb_phase exact": lambda p: tb_phase(p, "exact"),
+    "phase_difference approx": lambda p: phase_difference(p, 3.0, "approx"),
+    "phase_difference exact": lambda p: phase_difference(p, 3.0, "exact"),
+}
+
+
 def test_geometry_gate_requires_override():
-    p = scenario(d=1.0, r=10.0)
-    with pytest.raises(GeometryError):
-        differential_force(p)
-    assert differential_force(replace(p, override_geometry=True)) > 0.0
+    near = scenario(d=1.0, r=10.0)
+    twin = scenario(d=1.0, r=10.0, override_geometry=True)
+    message = ("far-field formulas need r/d >= 100.0, got r/d = 10.0; "
+               "set override_geometry to evaluate anyway")
+    for name, call in _GATED.items():
+        with pytest.raises(GeometryError) as got:
+            call(near)
+        assert str(got.value) == message, name
+        assert call(twin) > 0.0, name
+    # The report evaluates past the gate and flags the geometry instead.
+    for model in ("displacement", "phase", "both"):
+        assert report_values(near, model) == report_values(twin, model)
+        assert feasibility_report(near, model) == feasibility_report(twin, model)
+    assert report_values(near)["geometry_valid"] is False
 
 
 def test_mode_validation():
-    with pytest.raises(InvalidInputError):
-        differential_force(scenario(), "quadrupole")
+    p = scenario()
+    for call in (
+        lambda: differential_force(p, "quadrupole"),
+        lambda: tb_phase(p, "quadrupole"),
+        lambda: phase_difference(p, 1.0, "quadrupole"),
+        # The mode is checked before the geometry.
+        lambda: tb_phase(scenario(r=10.0), "quadrupole"),
+    ):
+        with pytest.raises(InvalidInputError) as got:
+            call()
+        assert str(got.value) == "mode must be one of ('approx', 'exact'), got 'quadrupole'"
+
+
+def test_report_builds_no_scenario(monkeypatch):
+    built = []
+    post_init = ScenarioParams.__post_init__
+    monkeypatch.setattr(ScenarioParams, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    scenarios = [
+        scenario(d=1.0, r=10.0),
+        scenario(m_a=1e6, d=1e6, r=1e8, m_b=3.0),
+        scenario(coupling=CouplingKind.COULOMB, q_a=1e3, q_b=10.0, delta_x_min=2.0),
+    ]
+    assert len(built) == 3
+    for p in scenarios:
+        for model in ("displacement", "phase", "both"):
+            report_values(p, model, 2.0)
+            feasibility_report(p, model, 0.5)
+    assert len(built) == 3
 
 
 # --- displacement shift ------------------------------------------------------
@@ -170,10 +221,23 @@ def test_tb_displacement_slack_scaling():
 
 @pytest.mark.parametrize("slack", [0.0, -1.0, math.nan, math.inf])
 def test_slack_must_be_finite_and_positive(slack):
-    with pytest.raises(InvalidInputError, match="slack"):
-        tb_displacement(scenario(r=1e4), slack)
-    with pytest.raises(InvalidInputError, match="slack"):
-        r_max_displacement(1.0, 1.0, slack)
+    message = f"slack must be finite and positive, got {slack!r}"
+    # No delta_x_min, and K*d underflows to zero: any arithmetic before the
+    # slack check would raise a different error.
+    unreadable = ScenarioParams(m_a=1.0, d=1e-200, r=1e-190, coupling=CouplingKind.COULOMB,
+                                q_a=1e-200, q_b=1e-200)
+    for call in (
+        lambda: tb_displacement(scenario(r=1e4), slack),
+        lambda: tb_displacement(scenario(r=10.0), slack),
+        lambda: r_max_displacement(1.0, 1.0, slack),
+        lambda: report_values(unreadable, "displacement", slack),
+        lambda: feasibility_report(unreadable, "both", slack),
+    ):
+        with pytest.raises(InvalidInputError) as got:
+            call()
+        assert str(got.value) == message
+    with pytest.raises(InvalidInputError, match="explicit delta_x_min"):
+        report_values(unreadable, "displacement")
 
 
 def test_tb_displacement_coulomb_needs_explicit_floor():
@@ -285,6 +349,15 @@ def test_ta_min_linear_scaling():
     base = ta_min_round_trip(2.0, 3.0)
     assert ta_min_round_trip(4.0, 3.0) == pytest.approx(2.0 * base, rel=1e-12)
     assert ta_min_round_trip(2.0, 6.0) == pytest.approx(2.0 * base, rel=1e-12)
+
+
+def test_gravity_source_strength_is_exactly_m_a():
+    rng = np.random.default_rng(53)
+    for m_a, m_b in 10.0 ** rng.uniform(-300.0, 300.0, size=(2000, 2)):
+        p = scenario(m_a=float(m_a), m_b=float(m_b))
+        assert p.effective_source_mass == m_a
+    # m_a*m_b overflows, and used to take K/m_B with it.
+    assert scenario(m_a=1e200, m_b=1e200).effective_source_mass == 1e200
 
 
 def test_underflowed_source_strength_is_an_arithmetic_error():
@@ -469,6 +542,16 @@ def test_report_flag_consistency_random():
         )
         assert rep.phase_backreaction_free == (p.r < rep.r_max_phase)
         assert rep.geometry_valid == (p.r / p.d >= p.r_over_d_min)
+
+
+def test_report_provenance_names_an_unknown_coupling():
+    with pytest.raises(InvalidInputError) as expected:
+        ScenarioParams(m_a=1.0, d=1.0, r=1.0, coupling="foo")
+    with pytest.raises(InvalidInputError) as got:
+        report_provenance("foo")
+    assert str(got.value) == str(expected.value) == "unknown coupling 'foo'"
+    for model in ("displacement", "phase", "both"):
+        assert report_provenance("coulomb", model) == report_provenance(CouplingKind.COULOMB, model)
 
 
 def test_report_field_order_covers_all_fields():

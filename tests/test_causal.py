@@ -135,6 +135,45 @@ def test_verdict_matches_recomputed_margin():
         assert v.no_signalling_ok == (t_a + t_b > 2.0 * r)
 
 
+def _round_trip_durations(rng, r):
+    """(t_a, t_b) spread around the round-trip budget 2r: a quarter of the
+    draws land exactly on it, a quarter a few ulp either side, a quarter
+    split it at random (often exactly), and a quarter are log-uniform."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return float(10.0 ** rng.uniform(-1, 1) * r), float(10.0 ** rng.uniform(-1, 1) * r)
+    t_a, t_b = ((r, r), (2.0 * r, 0.0), (0.0, 2.0 * r))[rng.integers(3)]
+    if kind == 1:
+        return t_a, t_b
+    if kind == 2:
+        steps = int(rng.integers(1, 4))
+        for _ in range(steps):
+            t_b = float(np.nextafter(t_b, rng.choice((0.0, 3.0)) * r))
+        return t_a, t_b
+    share = float(rng.uniform(0.0, 2.0))
+    return share * r, (2.0 - share) * r
+
+
+def test_round_trip_verdict_is_the_light_cone_order_of_its_events():
+    # The decision at the probe must lie in the past light cone of the
+    # recombination, and strictly inside it unless strict=False.  On the
+    # cone means dt == |dx| exactly: interval_class's LIGHTLIKE tolerance is
+    # absolute, for coordinates of order one.
+    rng = np.random.default_rng(61)
+    on_cone = 0
+    for _ in range(20000):
+        r = float(10.0 ** rng.uniform(-300, 300))
+        p = _params(r, *_round_trip_durations(rng, r))
+        tl = build_timeline(p)
+        decide, recombine = tl.b_decide, tl.a_recombine_done
+        inside = causally_precedes(decide, recombine)
+        null = recombine.t - decide.t == abs(recombine.x - decide.x)
+        on_cone += null
+        assert check_no_signalling(p, strict=False).no_signalling_ok == inside, p
+        assert check_no_signalling(p).no_signalling_ok == (inside and not null), p
+    assert on_cone > 5000
+
+
 def test_gap_region_between_criteria_exists():
     rng = np.random.default_rng(13)
     for _ in range(500):

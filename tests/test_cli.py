@@ -355,6 +355,18 @@ def test_out_of_range_results_emit_json_error(argv):
     assert (_OUT_OF_RANGE_CAUSE[tuple(argv)] or "") in err["message"]
 
 
+def test_gravity_eta_sweep_survives_an_overflowed_pair_coupling(capsys):
+    # m_a*m_b overflows, but gravity's K/m_B is m_a itself.
+    argv = ["sweep", "--sweep", "eta", "--m-a", "1e200mp", "--m-b", "1e200mp", "--d", "1lp",
+            "--from", "0.1", "--to", "0.9", "--points", "3"]
+    assert main(argv) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert rows == [[row[0], *bounds.eta_row(row[0], 1e200, 1.0)] for row in rows]
+    assert [row[0] for row in rows] == [0.1, 0.5, 0.9]
+    values = [v for row in rows for v in row[1:]]
+    assert min(values) == pytest.approx(4e197) and max(values) == pytest.approx(3.24e200)
+
+
 def test_non_finite_csv_writes_no_out_file(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--sweep", "eta", "--from", "0.1", "--to", "0.9", "--points", "2",
@@ -656,6 +668,22 @@ def test_sweep_rows_equal_report_values_of_replaced_params(capsys):
                     p = replace(base, **{name: value})
                     row = (value, *bounds.report_values(p, model, 2.5).values())
                     assert line == ",".join(map(_old_fmt, row)), argv
+
+
+def test_sweep_rows_build_no_scenario(monkeypatch, capsys):
+    built = []
+    post_init = ScenarioParams.__post_init__
+    monkeypatch.setattr(ScenarioParams, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    rng = random.Random(48)
+    for name in ("m_a", "m_b", "d", "r"):
+        for coulomb in (False, True):
+            _, flags = _sweep_case(rng, name, coulomb)
+            del built[:]
+            assert main(["sweep", "--sweep", name, "--points", "50", *flags]) == 0
+            assert len(capsys.readouterr().out.splitlines()) > 50
+            # The scenario read from the flags; each row copies it unvalidated.
+            assert len(built) == 1
 
 
 _NUMBERS = [True, False, 0.0, -0.0, 5e-324, 2.225073858507201e-308, 1.0 / 3.0,

@@ -10,21 +10,25 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "interferobounds"
 
 
+def _absolute_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) for every absolute import in `path`, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return found
+
+
 def _third_party_imports(path: Path) -> list[str]:
     """The modules `path` imports, at any depth, that are neither relative,
     nor interferobounds, nor in the standard library."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        for name in names:
-            top = name.split(".")[0]
-            if top != "interferobounds" and top not in sys.stdlib_module_names:
-                found.append(f"{path.name}:{node.lineno}: {name}")
+    for line, name in _absolute_imports(path):
+        top = name.split(".")[0]
+        if top != "interferobounds" and top not in sys.stdlib_module_names:
+            found.append(f"{path.name}:{line}: {name}")
     return found
 
 
@@ -37,6 +41,16 @@ def test_the_import_check_sees_imports_inside_functions(tmp_path):
     module = tmp_path / "probe.py"
     module.write_text("import math\n\ndef f():\n    import numpy as np\n    from scipy import stats\n")
     assert _third_party_imports(module) == ["probe.py:4: numpy", "probe.py:5: scipy"]
+
+
+def test_only_the_self_validating_classes_import_dataclasses():
+    # ScenarioParams, Dimension and Quantity, and GaussianState; the rest of
+    # the package is plain functions, NamedTuples and dicts.
+    users = sorted(
+        path.stem for path in SRC.glob("*.py")
+        if any(name == "dataclasses" for _, name in _absolute_imports(path))
+    )
+    assert users == ["dynamics", "scenario", "units"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
