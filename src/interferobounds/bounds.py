@@ -97,8 +97,13 @@ def tb_displacement(p: ScenarioParams, slack: float = 1.0) -> float:
 
 
 def _tb_displacement(p: ScenarioParams, slack: float) -> float:
+    # K/m_B, never K itself, so gravity's m_a*m_b cannot overflow here.
     dx = p.resolved_delta_x_min
-    return math.sqrt(2.0 * slack * dx * p.m_b * p.r ** 3 / (p.pair_coupling * p.d))
+    tb = math.sqrt(2.0 * slack * dx * p.r ** 3 / (p.effective_source_mass * p.d))
+    # Every factor is positive, so a zero means an intermediate step underflowed.
+    if tb == 0.0:
+        raise ArithmeticError("an intermediate step of tb_displacement underflowed to zero")
+    return tb
 
 
 def tb_eta(eta: float, m_a: float, d: float) -> float:
@@ -225,7 +230,7 @@ def r_max_phase(m_a: float, m_b: float, d: float) -> float:
 # provenance, {src}, {prb} and {pair} stand for the coupling's symbols.
 _REPORT = (
     ("tb_displacement", "displacement", "sqrt(2*slack*dx_min*m_B*R^3/(K*d))",
-     lambda p, slack, v: _check_slack(slack) or _tb_displacement(p, slack)),
+     lambda p, slack, v: _tb_displacement(p, slack)),
     ("ta_min_round_trip", "displacement", "(16/27)*(K/m_B)*d",
      lambda p, slack, v: ta_min_round_trip(p.effective_source_mass, p.d)),
     ("ta_min_one_way", "displacement", "(2/27)*(K/m_B)*d",
@@ -305,8 +310,10 @@ def report_values(p: ScenarioParams, model: str = "both", slack: float = 1.0) ->
     Bounds are computed even when the far-field proxy fails; the
     geometry_valid field carries that information instead of an error.
     """
+    rows = _rows(model)
+    _check_slack(slack)
     values: dict = {}
-    for name, _, _, value in _rows(model):
+    for name, _, _, value in rows:
         values[name] = value(p, slack, values)
     return values
 

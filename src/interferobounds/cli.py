@@ -21,7 +21,7 @@ from itertools import chain
 
 from . import __version__, bounds, causal, dynamics
 from .errors import ConvergenceError, InvalidInputError
-from .scenario import ScenarioParams, _check_positive, replace_swept
+from .scenario import _SWEPT_FIELDS, CouplingKind, ScenarioParams, _check_positive, replace_swept
 from .units import CHARGE, LENGTH, MASS, TIME, Quantity, _si_unit, from_planck, to_planck
 
 # Each kind of quantity: its dimension and Planck suffix; units names its SI unit.
@@ -41,10 +41,7 @@ _TOKEN_RE = re.compile(
 
 # Each flag (by argparse dest) that takes a quantity, and the quantity's kind.
 _QUANTITY_FLAGS = {
-    "m_a": "mass",
-    "m_b": "mass",
-    "d": "length",
-    "r": "length",
+    **_SWEPT_FIELDS,
     "q_a": "charge",
     "q_b": "charge",
     "dx_min": "length",
@@ -332,7 +329,7 @@ def _add_scenario_flags(sp, required: tuple[str, ...] = ()) -> None:
     sp.add_argument("--m-b", default="1mp", help="probe mass (default 1mp)")
     sp.add_argument("--d", required="d" in required, help="path separation")
     sp.add_argument("--r", required="r" in required, help="source-probe distance")
-    sp.add_argument("--coupling", choices=("gravity", "coulomb"), default="gravity")
+    sp.add_argument("--coupling", choices=[k.value for k in CouplingKind], default="gravity")
     sp.add_argument("--q-a", default=None, help="source charge (coulomb)")
     sp.add_argument("--q-b", default=None, help="probe charge (coulomb)")
     sp.add_argument("--dx-min", default=None,
@@ -363,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="JSON feasibility report for one scenario")
     _add_scenario_flags(b, required=("m_a", "d", "r"))
-    b.add_argument("--model", choices=("displacement", "phase", "both"), default="both")
+    b.add_argument("--model", choices=tuple(bounds._ROWS), default="both")
     b.add_argument("--slack", type=float, default=1.0,
                    help="multiplier on the displacement target (default 1)")
     _add_units_flags(b)
@@ -371,12 +368,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="CSV of bounds over one swept parameter")
     _add_scenario_flags(s)
-    s.add_argument("--sweep", required=True, choices=("m_a", "m_b", "d", "r", "eta"))
+    s.add_argument("--sweep", required=True, choices=(*_SWEPT_FIELDS, "eta"))
     s.add_argument("--from", dest="sweep_from", required=True, help="sweep start")
     s.add_argument("--to", required=True, help="sweep end")
     s.add_argument("--points", type=int, required=True)
     s.add_argument("--log", action="store_true", help="logarithmic grid")
-    s.add_argument("--model", choices=("displacement", "phase", "both"), default="both")
+    s.add_argument("--model", choices=tuple(bounds._ROWS), default="both")
     s.add_argument("--slack", type=float, default=1.0)
     _add_units_flags(s)
     s.set_defaults(func=_cmd_sweep)

@@ -1,4 +1,4 @@
-"""Dimension-checked quantities and SI <-> Planck-unit conversion.
+"""SI quantities tagged with their dimension, and SI <-> Planck-unit conversion.
 
 Every other module in this package computes with dimensionless reals in
 Planck units (c = hbar = G = 1, charge measured in Planck charges), so the
@@ -45,7 +45,6 @@ __all__ = [
     "TIME",
     "CHARGE",
     "VELOCITY",
-    "MOMENTUM",
     "FORCE",
     "ENERGY",
     "ACTION",
@@ -91,7 +90,6 @@ MASS = Dimension(mass=1)
 TIME = Dimension(time=1)
 CHARGE = Dimension(charge=1)
 VELOCITY = LENGTH / TIME
-MOMENTUM = MASS * VELOCITY
 FORCE = MASS * LENGTH / TIME ** 2
 ENERGY = FORCE * LENGTH
 ACTION = ENERGY * TIME
@@ -99,11 +97,10 @@ ACTION = ENERGY * TIME
 
 @dataclass(frozen=True)
 class Quantity:
-    """A finite real value tagged with its dimension.
+    """A finite real SI value tagged with its dimension, for conversion.
 
-    Values are SI (base units m, kg, s, C and their products).  Addition and
-    subtraction require identical dimensions; multiplication and division
-    combine exponents exactly.
+    Values are SI (base units m, kg, s, C and their products); `to_planck`
+    reads one and `from_planck` builds one.
     """
 
     value: float
@@ -115,40 +112,6 @@ class Quantity:
         object.__setattr__(self, "value", float(self.value))
         if not math.isfinite(self.value):
             raise InvalidInputError(f"quantity value must be finite, got {self.value!r}")
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        self._require_same_dim(other, "add")
-        return Quantity(self.value + other.value, self.dim)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._require_same_dim(other, "subtract")
-        return Quantity(self.value - other.value, self.dim)
-
-    def __mul__(self, other):
-        if isinstance(other, Quantity):
-            return Quantity(self.value * other.value, self.dim * other.dim)
-        return Quantity(self.value * float(other), self.dim)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Quantity):
-            return Quantity(self.value / other.value, self.dim / other.dim)
-        return Quantity(self.value / float(other), self.dim)
-
-    def __pow__(self, n: int) -> "Quantity":
-        return Quantity(self.value ** n, self.dim ** n)
-
-    def __neg__(self) -> "Quantity":
-        return Quantity(-self.value, self.dim)
-
-    def _require_same_dim(self, other: "Quantity", op: str) -> None:
-        if not isinstance(other, Quantity):
-            raise InvalidInputError(f"can only {op} another Quantity")
-        if self.dim != other.dim:
-            raise InvalidInputError(
-                f"cannot {op} quantities with dimensions {self.dim} and {other.dim}"
-            )
 
 
 # CODATA 2018, SI.

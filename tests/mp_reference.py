@@ -1,9 +1,10 @@
-"""50-digit mpmath values of the feasibility report's numeric fields.
+"""50-digit mpmath values of the feasibility report's numeric fields, the
+eta-sweep columns and the exact differential phase.
 
-Each value is written from its provenance formula in `bounds._REPORT` and
-evaluated on the exact values of the scenario's doubles, so it shares no
-rounding with the product.  Booleans are left out: they compare these
-numbers.
+Each value is written from its provenance formula in `bounds._REPORT`,
+`bounds.ETA_COLUMNS` or the `phase_difference` docstring and evaluated on
+the exact values of the input doubles, so it shares no rounding with the
+product.  Booleans are left out: they compare these numbers.
 """
 
 import math
@@ -15,15 +16,19 @@ from interferobounds.scenario import CouplingKind, ScenarioParams
 DIGITS = 50
 
 
+def _strengths(p: ScenarioParams) -> tuple:
+    """The source and probe strengths whose product is the pair coupling K."""
+    if p.coupling is CouplingKind.COULOMB:
+        return mpmath.mpf(p.q_a), mpmath.mpf(p.q_b)
+    return mpmath.mpf(p.m_a), mpmath.mpf(p.m_b)
+
+
 def report_reference(p: ScenarioParams, slack: float) -> dict:
     """{field: mpf} for every numeric field of the model "both" report."""
     with mpmath.workdps(DIGITS):
         mpf = mpmath.mpf
-        m_a, m_b, d, r, slack = map(mpf, (p.m_a, p.m_b, p.d, p.r, slack))
-        if p.coupling is CouplingKind.COULOMB:
-            src, prb = mpf(p.q_a), mpf(p.q_b)
-        else:
-            src, prb = m_a, m_b
+        m_b, d, r, slack = map(mpf, (p.m_b, p.d, p.r, slack))
+        src, prb = _strengths(p)
         dx = mpf(1 if p.delta_x_min is None else p.delta_x_min)
         k = src * prb
         source = k / m_b
@@ -39,6 +44,28 @@ def report_reference(p: ScenarioParams, slack: float) -> dict:
             "probe_planck_ratio": prb,
             "pair_planck_ratio": k,
         }
+
+
+def eta_reference(eta: float, m_a: float, d: float) -> dict:
+    """{column: mpf} for every `bounds.ETA_COLUMNS` column at fraction eta."""
+    with mpmath.workdps(DIGITS):
+        eta, m_a, d = map(mpmath.mpf, (eta, m_a, d))
+        tb = 4 * eta ** 3 * m_a * d
+        ta = 4 * (eta ** 2 - eta ** 3) * m_a * d
+        return {
+            "tb_eta": tb,
+            "ta_lower_bound": ta,
+            "ta_tb_total": tb + ta,
+            "r_implied": 2 * eta ** 2 * m_a * d,
+        }
+
+
+def phase_reference(p: ScenarioParams, t: float):
+    """The exact differential phase K*t*(1/R - 1/(R+d)) after time t."""
+    with mpmath.workdps(DIGITS):
+        src, prb = _strengths(p)
+        d, r, t = map(mpmath.mpf, (p.d, p.r, t))
+        return src * prb * t * (1 / r - 1 / (r + d))
 
 
 def ulps(value: float, exact) -> float:

@@ -11,7 +11,7 @@ import pytest
 from interferobounds import bounds, causal, dynamics
 from interferobounds.errors import InvalidInputError
 from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
-from interferobounds.units import LENGTH, TIME, Dimension, Quantity
+from interferobounds.units import LENGTH, Quantity
 
 _P = ScenarioParams(m_a=1.0, d=1.0, r=1000.0)
 # r*r underflows to zero, so a force computed before the width check divides by zero.
@@ -64,19 +64,15 @@ _CHECKS = {
         m_a=1.0, d=1.0, r=1000.0, coupling="coulomb"),
     "unknown coupling": lambda: ScenarioParams(**_COULOMB, coupling="coulom"),
     "report_provenance unknown coupling": lambda: bounds.report_provenance("foo"),
+    "phase report slack=nan": lambda: bounds.feasibility_report(
+        ScenarioParams(m_a=1e6, d=1e6, r=1e8), "phase", slack=math.nan),
     "t_a=nan": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_a=math.nan),
     "t_a<0": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_a=-1.0),
     "t_b=inf": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_b=math.inf),
     "t_b<0": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_b=-1.0),
     "Dimension ** 1.5": lambda: LENGTH ** 1.5,
-    "Quantity ** 0.5": lambda: Quantity(4.0, LENGTH) ** 0.5,
     "non-real Quantity": lambda: Quantity("1.0", LENGTH),
     "bool Quantity": lambda: Quantity(True),
-    "Quantity - other dimension": lambda: Quantity(1.0, LENGTH) - Quantity(1.0, TIME),
-    "Quantity - number": lambda: Quantity(1.0) - 1.0,
-    "Quantity * scalar overflows": lambda: Quantity(1e300, LENGTH) * 1e300,
-    "scalar * Quantity overflows": lambda: 1e300 * Quantity(1e300, LENGTH),
-    "Quantity / scalar overflows": lambda: Quantity(1e300, LENGTH) / 1e-300,
 }
 
 
@@ -130,15 +126,6 @@ def test_report_rejects_unknown_attribute():
     report = bounds.feasibility_report(_P)
     with pytest.raises(AttributeError, match="no attribute 'tb_nope'"):
         report.tb_nope
-
-
-def test_quantity_arithmetic_keeps_the_dimension():
-    q = Quantity(3.0, LENGTH)
-    assert q - Quantity(1.0, LENGTH) == Quantity(2.0, LENGTH)
-    assert q * 2 == 2 * q == Quantity(6.0, LENGTH)
-    assert q / 2 == Quantity(1.5, LENGTH)
-    assert q ** 2 == Quantity(9.0, Dimension(length=2))
-    assert -q == Quantity(-3.0, LENGTH)
 
 
 def test_string_coupling_gives_the_enum_report():

@@ -219,6 +219,41 @@ def test_tb_displacement_slack_scaling():
     )
 
 
+def test_tb_displacement_survives_an_overflowed_pair_coupling():
+    # m_a*m_b overflows to inf, which used to give 0.0; K/m_B is m_a itself.
+    p = ScenarioParams(m_a=1e200, m_b=1e200, d=1.0, r=1e10)
+    exact = 1.414213562373095e-85
+    assert abs(tb_displacement(p) - exact) <= 4 * math.ulp(exact)
+    assert report_values(p, "displacement")["tb_displacement"] == tb_displacement(p)
+
+
+@pytest.mark.parametrize("m_b", [1.0, 1e-100])
+def test_tb_displacement_never_underflows_silently(m_b):
+    # R^3 underflows to zero, so this form cannot reach the true 1.414e-149;
+    # it must say so rather than return 0.0.
+    p = ScenarioParams(m_a=1e-100, m_b=m_b, d=1e-202, r=1e-200)
+    for call in (lambda: tb_displacement(p), lambda: report_values(p, "displacement")):
+        with pytest.raises(ArithmeticError, match="tb_displacement underflowed to zero"):
+            call()
+
+
+@pytest.mark.parametrize("coulomb", [False, True])
+def test_tb_displacement_at_unit_probe_mass_keeps_the_pair_form(coulomb):
+    # At m_B = 1, K/m_B is K exactly, so sqrt(2*slack*dx*R^3/((K/m_B)*d))
+    # rounds as sqrt(2*slack*dx*m_B*R^3/(K*d)) does, bit for bit.
+    rng = np.random.default_rng(59)
+    draws = np.vstack([
+        10.0 ** rng.uniform(-30.0, 30.0, size=(4, 2000)),
+        10.0 ** rng.uniform([[2.0], [-3.0]], [[20.0], [3.0]], size=(2, 2000)),
+        rng.uniform(0.1, 10.0, size=(1, 2000)),
+    ])
+    for m_a, q_a, q_b, d, r_over_d, dx, slack in draws.T.tolist():
+        charges = dict(coupling=CouplingKind.COULOMB, q_a=q_a, q_b=q_b) if coulomb else {}
+        p = scenario(m_a=m_a, d=d, r=d * r_over_d, delta_x_min=dx, **charges)
+        pair_form = math.sqrt(2.0 * slack * dx * p.m_b * p.r ** 3 / (p.pair_coupling * d))
+        assert tb_displacement(p, slack) == pair_form
+
+
 @pytest.mark.parametrize("slack", [0.0, -1.0, math.nan, math.inf])
 def test_slack_must_be_finite_and_positive(slack):
     message = f"slack must be finite and positive, got {slack!r}"
@@ -232,6 +267,7 @@ def test_slack_must_be_finite_and_positive(slack):
         lambda: r_max_displacement(1.0, 1.0, slack),
         lambda: report_values(unreadable, "displacement", slack),
         lambda: feasibility_report(unreadable, "both", slack),
+        lambda: feasibility_report(unreadable, "phase", slack),
     ):
         with pytest.raises(InvalidInputError) as got:
             call()
