@@ -141,10 +141,11 @@ def eta_row(eta: float, m_a: float, d: float) -> tuple[float, float, float, floa
         _check_positive("m_a", "mass", m_a)
     if not d > 0.0:
         _check_positive("d", "length", d)
-    eta3 = eta ** 3
-    tb = 4.0 * eta3 * m_a * d
-    ta = 4.0 * (eta ** 2 - eta3) * m_a * d
-    return tb, ta, ta + tb, 2.0 * eta * eta * m_a * d
+    # eta^2*(1 - eta), not eta^2 - eta^3, which cancels as eta -> 1; the
+    # total is the exact sum, not the sum of the two rounded columns.
+    tb = 4.0 * eta ** 3 * m_a * d
+    ta = 4.0 * eta * eta * (1.0 - eta) * m_a * d
+    return tb, ta, 4.0 * eta * eta * m_a * d, 2.0 * eta * eta * m_a * d
 
 
 def ta_min_round_trip(m_a: float, d: float) -> float:
@@ -189,9 +190,14 @@ def phase_difference(p: ScenarioParams, t: float, mode: str = "exact") -> float:
         raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
     k = p.pair_coupling
     if mode == "approx":
-        return k * t * p.d / p.r ** 2
-    # 1/r - 1/(r+d), written in its cancellation-free identical form.
-    return k * t * p.d / (p.r * (p.r + p.d))
+        phase = k * t * p.d / p.r ** 2
+    else:
+        # 1/r - 1/(r+d), written in its cancellation-free identical form.
+        phase = k * t * p.d / (p.r * (p.r + p.d))
+    # Every other factor is positive, so a zero at t > 0 means an underflow.
+    if phase == 0.0 and t > 0.0:
+        raise ArithmeticError("an intermediate step of phase_difference underflowed to zero")
+    return phase
 
 
 def tb_phase(p: ScenarioParams, mode: str = "exact") -> float:

@@ -1,4 +1,4 @@
-"""Event algebra and the two-party timing layout in one shared inertial frame.
+"""The two-party timeline and its causal verdicts in one shared inertial frame.
 
 Coordinates are Planck-normalized with c = 1 (times in t_P, positions in
 l_P).  The interferometer side sits at x = 0, the probe side at x = r.
@@ -11,38 +11,11 @@ from typing import NamedTuple
 from .errors import InvalidInputError
 from .scenario import ScenarioParams, _check_positive
 
-TIMELIKE = "timelike"
-LIGHTLIKE = "lightlike"
-SPACELIKE = "spacelike"
-
-# |s^2| at or below this counts as lightlike (double-precision noise floor
-# for Planck-normalized coordinates in scope).
-LIGHTLIKE_TOLERANCE = 1e-12
-
 
 class Event(NamedTuple):
     t: float
     x: float
     label: str = ""
-
-
-class Interval(NamedTuple):
-    kind: str
-    s_squared: float
-
-
-def interval_class(e1: Event, e2: Event) -> Interval:
-    """Minkowski interval s^2 = dt^2 - dx^2, classified by sign."""
-    dt = e2.t - e1.t
-    dx = e2.x - e1.x
-    s2 = dt * dt - dx * dx
-    if abs(s2) <= LIGHTLIKE_TOLERANCE:
-        kind = LIGHTLIKE
-    elif s2 > 0.0:
-        kind = TIMELIKE
-    else:
-        kind = SPACELIKE
-    return Interval(kind, s2)
 
 
 def causally_precedes(e1: Event, e2: Event) -> bool:
@@ -58,9 +31,6 @@ class Timeline(NamedTuple):
     b_measure_done: Event
     a_signal_arrival: Event
     a_recombine_done: Event
-
-    def events(self) -> list[Event]:
-        return list(self)
 
 
 class CausalVerdict(NamedTuple):
@@ -117,9 +87,3 @@ def backreaction_free(t_b: float, r: float) -> bool:
         _check_positive("r", "length", r)
     return t_b < r
 
-
-def retarded_source_time(t_obs: float, r: float) -> float:
-    """Source time whose field a probe at distance r samples at t_obs."""
-    if not r >= 0.0:
-        raise InvalidInputError(f"length r must be nonnegative, got {r!r}")
-    return t_obs - r

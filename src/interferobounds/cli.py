@@ -194,7 +194,7 @@ def _cmd_causal(args) -> int:
     verdict = causal.check_no_signalling(params, strict=strict)
     timeline = causal.build_timeline(params)
     results = {
-        "events": [{"label": e.label, "t": e.t, "x": e.x} for e in timeline.events()],
+        "events": [{"label": e.label, "t": e.t, "x": e.x} for e in timeline],
         "one_way": {
             "bound": bounds.ta_tb_min_one_way(r_p),
             "ok": causal.meets_one_way_bound(ta_p, tb_p, r_p, strict=strict),

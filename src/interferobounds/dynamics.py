@@ -308,10 +308,9 @@ def orthogonalization_time(
 
 
 class PhaseBranchPair(NamedTuple):
-    """Two-branch interferometric record: common phase on the near beam,
-    differential phase, and the conditional-state overlap |cos(dphi/2)|."""
+    """Two-branch interferometric record: differential phase and the
+    conditional-state overlap |cos(dphi/2)|."""
 
-    phi_l: float
     delta_phi: float
     overlap_magnitude: float
 
@@ -320,8 +319,7 @@ def phase_evolution(p: ScenarioParams, t: float) -> PhaseBranchPair:
     """Interferometric probe record after time t, using the exact
     differential phase."""
     delta_phi = bounds.phase_difference(p, t, "exact")
-    phi_l = p.pair_coupling * t / p.r
     try:
-        return PhaseBranchPair(phi_l, delta_phi, abs(math.cos(0.5 * delta_phi)))
+        return PhaseBranchPair(delta_phi, abs(math.cos(0.5 * delta_phi)))
     except ValueError:  # math.cos of an infinite phase
         raise OverflowError(f"differential phase overflows at t = {t!r}") from None

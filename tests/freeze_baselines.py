@@ -9,11 +9,13 @@ repository root after an intentional behavior change:
 """
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+SRC = str(DATA.parent.parent / "src")
 
 GOLDEN_COMMANDS = {
     "bounds_gravity.json": [
@@ -100,5 +102,11 @@ def freeze_ratio_table():
 
 
 if __name__ == "__main__":
+    # Run from a plain checkout: this process and its `python -m
+    # interferobounds` children both import the package from src/.
+    sys.path.insert(0, SRC)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+    )
     freeze_golden()
     freeze_ratio_table()

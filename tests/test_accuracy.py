@@ -9,13 +9,10 @@ from mp_reference import eta_reference, phase_reference, report_reference, ulps
 
 # The worst error over 20,000 draws of this domain was 3.33 ulp.
 REPORT_ULPS = 4.0
-# The worst errors over 20,000 draws of these domains were 1.94 ulp in
-# tb_eta, 2.59 in ta_lower_bound (eta <= 0.5), 3.07 in ta_tb_total, 1.84 in
-# r_implied and 3.25 in delta_phi.
+# The worst errors over 20,000 draws of these domains were 1.96 ulp in
+# tb_eta, 2.76 in ta_lower_bound, 2.02 in ta_tb_total, 2.02 in r_implied and
+# 3.25 in delta_phi.
 ETA_ULPS = PHASE_ULPS = 4.0
-# Above this eta, ta_lower_bound's 4*(eta^2 - eta^3) cancels: the same draws
-# reached 11,590 ulp there, so that range waits for ROADMAP item 4.
-TA_CANCELS_ABOVE = 0.5
 
 
 def _report_draw(rng, r_over_d_from=-2):
@@ -56,14 +53,19 @@ def test_eta_columns_are_within_a_few_ulp_of_mpmath():
     rng = random.Random(71)
     worst = {}
     for _ in range(4000):
-        # eta uniform in (0, 1), or log-uniform from 1e-6, where eta^3 is tiny.
-        eta = rng.random() if rng.random() < 0.5 else 10.0 ** rng.uniform(-6, 0)
+        # eta uniform in (0, 1), log-uniform from 1e-6, where eta^3 is tiny,
+        # or with 1 - eta log-uniform from 1e-12, where eta^2 - eta^3 cancels.
+        kind = rng.randrange(3)
+        if kind == 0:
+            eta = rng.random()
+        elif kind == 1:
+            eta = 10.0 ** rng.uniform(-6, 0)
+        else:
+            eta = 1.0 - 10.0 ** rng.uniform(-12, 0)
         m_a, d = 10.0 ** rng.uniform(-30, 30), 10.0 ** rng.uniform(-30, 30)
         got = dict(zip(dict(bounds.ETA_COLUMNS), bounds.eta_row(eta, m_a, d)))
         exact = eta_reference(eta, m_a, d)
         assert set(exact) == set(got)
-        if eta > TA_CANCELS_ABOVE:
-            del exact["ta_lower_bound"]
         for name, reference in exact.items():
             error = ulps(got[name], reference)
             assert error <= ETA_ULPS, (name, eta, m_a, d, got[name], reference)

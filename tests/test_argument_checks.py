@@ -42,7 +42,6 @@ _CHECKS = {
     "phase_evolution t=nan": lambda: dynamics.phase_evolution(_P, math.nan),
     "meets_one_way_bound r=0": lambda: causal.meets_one_way_bound(1.0, 1.0, 0.0),
     "meets_one_way_bound r<0": lambda: causal.meets_one_way_bound(1.0, 1.0, -1.0),
-    "retarded_source_time r<0": lambda: causal.retarded_source_time(0.0, -1.0),
     # NaN fails every positivity comparison.
     "ta_tb_min_one_way r=nan": lambda: bounds.ta_tb_min_one_way(math.nan),
     "ta_tb_min_round_trip r=nan": lambda: bounds.ta_tb_min_round_trip(math.nan),
@@ -57,7 +56,6 @@ _CHECKS = {
     "r_max_phase m_b=nan": lambda: bounds.r_max_phase(1.0, math.nan, 1.0),
     "meets_one_way_bound r=nan": lambda: causal.meets_one_way_bound(1.0, 1.0, math.nan),
     "backreaction_free r=nan": lambda: causal.backreaction_free(1.0, math.nan),
-    "retarded_source_time r=nan": lambda: causal.retarded_source_time(0.0, math.nan),
     "coulomb without charges": lambda: ScenarioParams(
         m_a=1.0, d=1.0, r=1000.0, coupling=CouplingKind.COULOMB, q_a=1e3),
     "'coulomb' without charges": lambda: ScenarioParams(
@@ -111,7 +109,6 @@ _INFINITE_ARGUMENT = {
     "ta_min_one_way": (lambda: bounds.ta_min_one_way(math.inf, 1.0), math.inf),
     "r_max_displacement": (lambda: bounds.r_max_displacement(1.0, math.inf), math.inf),
     "r_max_phase": (lambda: bounds.r_max_phase(1.0, math.inf, 1.0), math.inf),
-    "retarded_source_time": (lambda: causal.retarded_source_time(0.0, math.inf), -math.inf),
     "backreaction_free": (lambda: causal.backreaction_free(1.0, math.inf), True),
     "meets_one_way_bound": (lambda: causal.meets_one_way_bound(1.0, 1.0, math.inf), False),
 }

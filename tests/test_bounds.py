@@ -329,11 +329,11 @@ def test_eta_family_equals_closed_forms_bit_for_bit():
         m_a = float(10.0 ** rng.uniform(-160, 160))
         d = float(10.0 ** rng.uniform(-160, 160))
         tb = 4.0 * eta ** 3 * m_a * d
-        ta = 4.0 * (eta ** 2 - eta ** 3) * m_a * d
+        ta = 4.0 * eta * eta * (1.0 - eta) * m_a * d
         r = 2.0 * eta * eta * m_a * d
         assert (tb_eta(eta, m_a, d), ta_lower_bound(eta, m_a, d), r_implied(eta, m_a, d)) == (
             tb, ta, r)
-        assert eta_row(eta, m_a, d) == (tb, ta, ta + tb, r)
+        assert eta_row(eta, m_a, d) == (tb, ta, 4.0 * eta * eta * m_a * d, r)
 
 
 def test_optimize_eta_matches_analytic():
@@ -457,6 +457,16 @@ def test_phase_difference_zero_time_and_linearity():
     assert phase_difference(p, 4.0) == pytest.approx(2.0 * base, rel=1e-12)
     doubled_k = replace(p, m_a=4.0)
     assert phase_difference(doubled_k, 2.0) == pytest.approx(2.0 * base, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_phase_difference_never_underflows_silently(mode):
+    # K = m_a*m_b underflows to zero, so this form cannot reach the true
+    # exact phase 9.99e-302; it must say so rather than return 0.0.
+    p = ScenarioParams(m_a=1e-300, m_b=1e-300, d=1e3, r=1e6, override_geometry=True)
+    with pytest.raises(ArithmeticError, match="phase_difference underflowed to zero"):
+        phase_difference(p, 1e308, mode)
+    assert phase_difference(p, 0.0, mode) == 0.0
 
 
 def test_phase_difference_approx_ratio_at_1e4():

@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 
 from interferobounds.causal import (
-    LIGHTLIKE,
-    SPACELIKE,
-    TIMELIKE,
     Event,
     backreaction_free,
     build_timeline,
     causally_precedes,
     check_no_signalling,
-    interval_class,
     meets_one_way_bound,
-    retarded_source_time,
 )
 from interferobounds.errors import InvalidInputError
 from interferobounds.scenario import ScenarioParams
@@ -20,24 +15,6 @@ from interferobounds.scenario import ScenarioParams
 
 def _params(r, t_a, t_b):
     return ScenarioParams(m_a=1.0, d=r, r=r, t_a=t_a, t_b=t_b)
-
-
-def test_interval_pure_time_separation():
-    iv = interval_class(Event(0.0, 0.0), Event(1.0, 0.0))
-    assert iv.kind == TIMELIKE
-    assert iv.s_squared == 1.0
-
-
-def test_interval_null_ray():
-    iv = interval_class(Event(0.0, 0.0), Event(1.0, 1.0))
-    assert iv.kind == LIGHTLIKE
-    assert iv.s_squared == 0.0
-
-
-def test_interval_pure_space_separation():
-    iv = interval_class(Event(0.0, 0.0), Event(0.0, 1.0))
-    assert iv.kind == SPACELIKE
-    assert iv.s_squared == -1.0
 
 
 def test_causally_precedes_null_boundary():
@@ -72,7 +49,7 @@ def test_build_timeline_unit_case():
     assert tl.b_measure_done.t == 1.0 and tl.b_measure_done.x == 1.0
     assert tl.a_signal_arrival.t == 1.0 and tl.a_signal_arrival.x == 0.0
     assert tl.a_recombine_done.t == 1.0 and tl.a_recombine_done.x == 0.0
-    assert len(tl.events()) == 5
+    assert len(tl) == 5
 
 
 def test_build_timeline_degenerate_durations():
@@ -156,9 +133,8 @@ def _round_trip_durations(rng, r):
 
 def test_round_trip_verdict_is_the_light_cone_order_of_its_events():
     # The decision at the probe must lie in the past light cone of the
-    # recombination, and strictly inside it unless strict=False.  On the
-    # cone means dt == |dx| exactly: interval_class's LIGHTLIKE tolerance is
-    # absolute, for coordinates of order one.
+    # recombination, and strictly inside it unless strict=False.  A pair
+    # counts as on the cone only when dt == |dx| exactly.
     rng = np.random.default_rng(61)
     on_cone = 0
     for _ in range(20000):
@@ -183,12 +159,6 @@ def test_gap_region_between_criteria_exists():
         t_b = total - t_a
         assert meets_one_way_bound(t_a, t_b, r)
         assert not check_no_signalling(_params(r, t_a, t_b)).no_signalling_ok
-
-
-def test_retarded_source_time():
-    assert retarded_source_time(0.0, 4.0) == -4.0
-    assert retarded_source_time(4.0, 4.0) == 0.0
-    assert retarded_source_time(2.5, 0.0) == 2.5
 
 
 def test_backreaction_free_strictness():

@@ -339,6 +339,10 @@ _OUT_OF_RANGE = [
     # An SI time beyond the double range in Planck units.
     (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
       "--t-max", "1e300s", "--steps", "2"], "1e+300 s is not representable in Planck units"),
+    # K = m_a*m_b underflows to zero, which would zero the phase at every t > 0.
+    (["simulate", "--model", "phase", "--m-a", "1e-300mp", "--m-b", "1e-300mp",
+      "--d", "1e3lp", "--r", "1e6lp", "--t-max", "1e308tp", "--steps", "1",
+      "--override-geometry"], "an intermediate step of phase_difference underflowed to zero"),
 ]
 _OUT_OF_RANGE_CAUSE = {tuple(argv): cause for argv, cause in _OUT_OF_RANGE}
 
@@ -598,7 +602,7 @@ def test_grid_ends_exactly_and_stays_finite(lo, hi, points, log):
         (["sweep", "--sweep", "m_b", "--from", "1e300mp", "--to", f"{_DBL_MAX!r}mp",
           "--points", "3", "--log", "--m-a", "1e-300mp", "--d", "1lp", "--r", "1e3lp",
           "--model", "phase"], 1e300, _DBL_MAX, 3),
-        (["simulate", "--model", "phase", "--m-a", "1e-300mp", "--m-b", "1e-300mp",
+        (["simulate", "--model", "phase", "--m-a", "1e-150mp", "--m-b", "1e-150mp",
           "--d", "1e3lp", "--r", "1e6lp", "--t-max", "1e308tp", "--steps", "3",
           "--override-geometry"], 0.0, 1e308, 4),
         (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",

@@ -373,7 +373,7 @@ def test_phase_evolution_starts_at_unity():
     p = ScenarioParams(m_a=1.0, m_b=1.0, d=10.0, r=1000.0)
     rec = phase_evolution(p, 0.0)
     assert rec.overlap_magnitude == 1.0
-    assert rec.delta_phi == 0.0 and rec.phi_l == 0.0
+    assert rec.delta_phi == 0.0
 
 
 def test_phase_evolution_orthogonal_at_tb_phase_exact():

@@ -10,7 +10,6 @@ _P = ScenarioParams(m_a=1e9, d=1e6, r=1e8, t_a=3e8, t_b=1e7)
 
 _RECORDS = {
     "Event": lambda: causal.Event(1.0, 2.0, "e"),
-    "Interval": lambda: causal.interval_class(causal.Event(0.0, 0.0), causal.Event(2.0, 1.0)),
     "Timeline": lambda: causal.build_timeline(_P),
     "CausalVerdict": lambda: causal.check_no_signalling(_P),
     "BranchPair": lambda: dynamics.displacement_branches(_P, 1.0, 1e6),
@@ -37,4 +36,5 @@ def test_record_defaults_and_derived_fields():
     pair = dynamics.displacement_branches(_P, 1.0, 1e6)
     assert pair.overlap_magnitude == abs(pair.overlap)
     timeline = causal.build_timeline(_P)
-    assert timeline.events() == list(timeline) and len(timeline.events()) == 5
+    assert list(timeline) == [getattr(timeline, name) for name in causal.Timeline._fields]
+    assert len(timeline) == 5
