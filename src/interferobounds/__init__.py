@@ -7,18 +7,7 @@ module and the CLI handle SI conversion at the boundary.
 
 from .errors import ConvergenceError, GeometryError, InvalidInputError
 from .scenario import CouplingKind, ScenarioParams
-from .units import (
-    CHARGE,
-    CODATA,
-    DIMENSIONLESS,
-    LENGTH,
-    MASS,
-    TIME,
-    Dimension,
-    Quantity,
-    from_planck,
-    to_planck,
-)
+from .units import from_planck, to_planck
 
 __version__ = "0.1.0"
 
@@ -29,14 +18,6 @@ __all__ = [
     "InvalidInputError",
     "CouplingKind",
     "ScenarioParams",
-    "Dimension",
-    "Quantity",
-    "CODATA",
-    "DIMENSIONLESS",
-    "LENGTH",
-    "MASS",
-    "TIME",
-    "CHARGE",
     "to_planck",
     "from_planck",
 ]

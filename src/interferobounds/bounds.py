@@ -226,7 +226,11 @@ def r_max_phase(m_a: float, m_b: float, d: float) -> float:
         _check_positive("m_b", "mass", m_b)
     if not d > 0.0:
         _check_positive("d", "length", d)
-    return m_a * m_b * d / math.pi
+    r = m_a * m_b * d / math.pi
+    # Every factor is positive, so a zero means an intermediate step underflowed.
+    if r == 0.0:
+        raise ArithmeticError("an intermediate step of r_max_phase underflowed to zero")
+    return r
 
 
 # The feasibility report, one row per field in output order:

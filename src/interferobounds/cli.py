@@ -22,19 +22,11 @@ from itertools import chain
 from . import __version__, bounds, causal, dynamics
 from .errors import ConvergenceError, InvalidInputError
 from .scenario import _SWEPT_FIELDS, CouplingKind, ScenarioParams, _check_positive, replace_swept
-from .units import CHARGE, LENGTH, MASS, TIME, Quantity, _si_unit, from_planck, to_planck
+from .units import KINDS, from_planck, to_planck
 
-# Each kind of quantity: its dimension and Planck suffix; units names its SI unit.
-# Charges take no Planck suffix; a bare number under --units planck is one.
-_KINDS = {
-    "mass": (MASS, "mp"),
-    "length": (LENGTH, "lp"),
-    "time": (TIME, "tp"),
-    "charge": (CHARGE, None),
-}
-# Unit suffix -> (kind, unit system).
-_SUFFIXES = {_si_unit(dim): (kind, "si") for kind, (dim, _) in _KINDS.items()}
-_SUFFIXES.update({unit: (kind, "planck") for kind, (_, unit) in _KINDS.items() if unit})
+# Unit suffix -> (kind, unit system), from the units table.
+_SUFFIXES = {si: (kind, "si") for kind, (si, _, _) in KINDS.items()}
+_SUFFIXES.update({planck: (kind, "planck") for kind, (_, planck, _) in KINDS.items() if planck})
 _TOKEN_RE = re.compile(
     rf"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)({'|'.join(_SUFFIXES)})?$"
 )
@@ -68,10 +60,9 @@ def _parse_quantity(flag: str, text: str, kind: str, units_mode: str) -> tuple[f
         suffix_kind, system = _SUFFIXES[suffix]
         if suffix_kind != kind:
             raise InvalidInputError(f"{text!r} has dimension {suffix_kind}, expected {kind}")
-    dim = _KINDS[kind][0]
     if system == "planck":
-        return value, from_planck(value, dim).value
-    return to_planck(Quantity(value, dim)), value
+        return value, from_planck(value, kind)
+    return to_planck(value, kind), value
 
 
 def _read_quantities(args, names) -> tuple[dict, dict]:
@@ -86,7 +77,7 @@ def _read_quantities(args, names) -> tuple[dict, dict]:
         kind = _QUANTITY_FLAGS[name]
         p_val, si_val = _parse_quantity(f"--{name.replace('_', '-')}", raw, kind, args.units)
         planck[name] = p_val
-        echo[name] = {"planck": p_val, "si": si_val, "si_unit": _si_unit(_KINDS[kind][0])}
+        echo[name] = {"planck": p_val, "si": si_val, "si_unit": KINDS[kind][0]}
     return planck, echo
 
 

@@ -11,7 +11,7 @@ import pytest
 from interferobounds import bounds, causal, dynamics
 from interferobounds.errors import InvalidInputError
 from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
-from interferobounds.units import LENGTH, Quantity
+from interferobounds.units import from_planck, to_planck
 
 _P = ScenarioParams(m_a=1.0, d=1.0, r=1000.0)
 # r*r underflows to zero, so a force computed before the width check divides by zero.
@@ -68,9 +68,10 @@ _CHECKS = {
     "t_a<0": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_a=-1.0),
     "t_b=inf": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_b=math.inf),
     "t_b<0": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_b=-1.0),
-    "Dimension ** 1.5": lambda: LENGTH ** 1.5,
-    "non-real Quantity": lambda: Quantity("1.0", LENGTH),
-    "bool Quantity": lambda: Quantity(True),
+    "non-real Quantity": lambda: to_planck("1.0", "length"),
+    "bool Quantity": lambda: to_planck(True, "mass"),
+    "to_planck unknown kind": lambda: to_planck(1.0, "speed"),
+    "from_planck unknown kind": lambda: from_planck(1.0, "Length"),
 }
 
 

@@ -28,7 +28,7 @@ from interferobounds.bounds import (
 )
 from interferobounds.errors import GeometryError, InvalidInputError
 from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
-from interferobounds.units import LENGTH, TIME, Quantity, from_planck, to_planck
+from interferobounds.units import from_planck, to_planck
 
 from eta_oracle import optimize_eta
 
@@ -55,9 +55,9 @@ def test_round_trip_is_twice_one_way():
 
 
 def test_timing_floor_si_values():
-    r = to_planck(Quantity(3e8, LENGTH))
-    one_way = from_planck(ta_tb_min_one_way(r), TIME).value
-    round_trip = from_planck(ta_tb_min_round_trip(r), TIME).value
+    r = to_planck(3e8, "length")
+    one_way = from_planck(ta_tb_min_one_way(r), "time")
+    round_trip = from_planck(ta_tb_min_round_trip(r), "time")
     assert one_way == pytest.approx(1.0007, rel=1e-4)
     assert round_trip == pytest.approx(2.0014, rel=1e-4)
 
@@ -401,6 +401,9 @@ def test_underflowed_source_strength_is_an_arithmetic_error():
     p = scenario(coupling=CouplingKind.COULOMB, q_a=1e-150, q_b=1e-150, m_b=1e100)
     with pytest.raises(ArithmeticError, match="K/m_B underflows to zero"):
         p.effective_source_mass
+    # m_a*m_b underflows, so this form cannot reach the true 3.18e-101.
+    with pytest.raises(ArithmeticError, match="r_max_phase underflowed to zero"):
+        r_max_phase(1e-200, 1e-200, 1e300)
     with pytest.raises(InvalidInputError, match="nonpositive mass m_a"):
         ta_min_round_trip(0.0, 1.0)
 

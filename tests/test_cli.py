@@ -11,7 +11,7 @@ from interferobounds import __version__, bounds, cli
 from interferobounds.cli import main
 from interferobounds.errors import NonFiniteError
 from interferobounds.scenario import CouplingKind, ScenarioParams
-from interferobounds.units import CHARGE, LENGTH, MASS, TIME, Quantity, to_planck
+from interferobounds.units import to_planck
 
 from freeze_baselines import DATA, GOLDEN_COMMANDS
 
@@ -201,6 +201,16 @@ def test_unwritable_out_is_invalid_input(tmp_path):
           "--from", "0.1", "--to", "0.9", "--points", "2"], "nonpositive length --r '-5lp'"),
         # causal has no --d; its error names the flag it was given.
         (["causal", "--t-a", "1tp", "--t-b", "1tp", "--r", "0lp"], "length r"),
+        # A token beyond the double range reads as inf; SI and Planck
+        # values each name the check that refuses it.
+        (["bounds", "--m-a", "1e999kg", "--d", "1lp", "--r", "1e3lp"],
+         "quantity value must be finite, got inf"),
+        (["bounds", "--m-a", "1e999mp", "--d", "1lp", "--r", "1e3lp"],
+         "planck value must be finite, got inf"),
+        (["bounds", "--units", "si", "--m-a", "1e999", "--d", "1", "--r", "1e3"],
+         "quantity value must be finite, got inf"),
+        (["sweep", "--sweep", "r", "--m-a", "1e9mp", "--d", "1e4lp", "--from", "1e999m",
+          "--to", "1e8lp", "--points", "2"], "quantity value must be finite, got inf"),
     ],
 )
 def test_usage_errors_emit_json_error(argv, fragment):
@@ -343,6 +353,12 @@ _OUT_OF_RANGE = [
     (["simulate", "--model", "phase", "--m-a", "1e-300mp", "--m-b", "1e-300mp",
       "--d", "1e3lp", "--r", "1e6lp", "--t-max", "1e308tp", "--steps", "1",
       "--override-geometry"], "an intermediate step of phase_difference underflowed to zero"),
+    # K*d/pi underflows to zero, below the least subnormal, though K*d does not.
+    (["bounds", "--m-a", "1e-150mp", "--m-b", "1e-150mp", "--d", "5e-24lp", "--r", "1e-20lp",
+      "--model", "phase"], "an intermediate step of r_max_phase underflowed to zero"),
+    # m_a*m_b underflows: tb_phase divides by zero before r_max_phase is reached.
+    (["bounds", "--m-a", "1e-200mp", "--m-b", "1e-200mp", "--d", "1e300lp", "--r", "1e303lp",
+      "--model", "phase"], "a divisor underflowed to zero"),
 ]
 _OUT_OF_RANGE_CAUSE = {tuple(argv): cause for argv, cause in _OUT_OF_RANGE}
 
@@ -380,10 +396,9 @@ def test_non_finite_csv_writes_no_out_file(tmp_path, capsys):
     assert not out.exists()
 
 
-# Each quantity kind: its Planck suffix (a charge has none), SI suffix and
-# dimension.
-_SUFFIX = {"mass": ("mp", "kg", MASS), "length": ("lp", "m", LENGTH),
-           "time": ("tp", "s", TIME), "charge": ("", "C", CHARGE)}
+# Each quantity kind: its Planck suffix (a charge has none) and SI suffix.
+_SUFFIX = {"mass": ("mp", "kg"), "length": ("lp", "m"), "time": ("tp", "s"),
+           "charge": ("", "C")}
 
 
 def _planck_token(rng, kind, value):
@@ -478,11 +493,11 @@ def test_cli_contract_holds_for_si_negative_and_eps_inputs(capsys):
             if rng.random() < 0.1:
                 value = -value
                 faults.add("negative")
-            planck, si, dim = _SUFFIX[kind]
+            planck, si = _SUFFIX[kind]
             if rng.random() < 0.5:
                 return f"{value!r}{planck}"
             try:
-                to_planck(Quantity(abs(value), dim))
+                to_planck(abs(value), kind)
             except NonFiniteError:
                 faults.add("overflow")
             return f"{value!r}{si}"

@@ -3,7 +3,7 @@ printed as Name(field=value, ...)."""
 
 import pytest
 
-from interferobounds import bounds, causal, dynamics, units
+from interferobounds import bounds, causal, dynamics
 from interferobounds.scenario import ScenarioParams
 
 _P = ScenarioParams(m_a=1e9, d=1e6, r=1e8, t_a=3e8, t_b=1e7)
@@ -14,7 +14,6 @@ _RECORDS = {
     "CausalVerdict": lambda: causal.check_no_signalling(_P),
     "BranchPair": lambda: dynamics.displacement_branches(_P, 1.0, 1e6),
     "PhaseBranchPair": lambda: dynamics.phase_evolution(_P, 1e6),
-    "Constants": lambda: units.CODATA,
     "BoundsReport": lambda: bounds.feasibility_report(_P),
 }
 

@@ -44,13 +44,13 @@ def test_the_import_check_sees_imports_inside_functions(tmp_path):
 
 
 def test_only_the_self_validating_classes_import_dataclasses():
-    # ScenarioParams, Dimension and Quantity, and GaussianState; the rest of
-    # the package is plain functions, NamedTuples and dicts.
+    # ScenarioParams and GaussianState; the rest of the package is plain
+    # functions, NamedTuples and dicts.
     users = sorted(
         path.stem for path in SRC.glob("*.py")
         if any(name == "dataclasses" for _, name in _absolute_imports(path))
     )
-    assert users == ["dynamics", "scenario", "units"]
+    assert users == ["dynamics", "scenario"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
