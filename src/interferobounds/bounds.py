@@ -65,11 +65,17 @@ def differential_force(p: ScenarioParams, mode: str = "approx") -> float:
     """
     _check_mode(mode)
     _geometry_gate(p)
-    k = p.pair_coupling
+    return _differential_force(p, mode)
+
+
+def _differential_force(p: ScenarioParams, mode: str) -> float:
     if mode == "approx":
-        return k * p.d / p.r ** 3
-    # 1/r^2 - 1/(r+d)^2, written in its cancellation-free identical form.
-    return k * p.d * (2.0 * p.r + p.d) / (p.r ** 2 * (p.r + p.d) ** 2)
+        return p.pair_coupling * p.d / p.r ** 3
+    # K*(1/r^2 - 1/(r+d)^2) = (K/r/r)*s*(2 - s) with s = d/(r+d): no
+    # cancellation, and no power of r or r+d that overflows where the
+    # force does not.
+    s = p.d / (p.r + p.d)
+    return p.pair_coupling / p.r / p.r * s * (2.0 - s)
 
 
 def displacement_shift(delta_f: float, m_b: float, t: float) -> float:
@@ -188,12 +194,19 @@ def phase_difference(p: ScenarioParams, t: float, mode: str = "exact") -> float:
     _geometry_gate(p)
     if t < 0.0 or not math.isfinite(t):
         raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
-    k = p.pair_coupling
+    return _phase(p.pair_coupling, p.d, _phase_divisor(p, mode), t)
+
+
+def _phase_divisor(p: ScenarioParams, mode: str) -> float:
+    # The differential phase is K*t*d over this; it does not depend on t.
     if mode == "approx":
-        phase = k * t * p.d / p.r ** 2
-    else:
-        # 1/r - 1/(r+d), written in its cancellation-free identical form.
-        phase = k * t * p.d / (p.r * (p.r + p.d))
+        return p.r ** 2
+    # 1/r - 1/(r+d), written in its cancellation-free identical form.
+    return p.r * (p.r + p.d)
+
+
+def _phase(k: float, d: float, divisor: float, t: float) -> float:
+    phase = k * t * d / divisor
     # Every other factor is positive, so a zero at t > 0 means an underflow.
     if phase == 0.0 and t > 0.0:
         raise ArithmeticError("an intermediate step of phase_difference underflowed to zero")

@@ -292,20 +292,11 @@ def _cmd_simulate(args) -> int:
     if args.model == "displacement":
         header = ["t", "mean_x_l", "mean_x_r", "sigma_x", "overlap_magnitude"]
         comments.append("positive x points from the probe toward the source")
-
-        def row(t):
-            pair = dynamics.displacement_branches(params, sigma0, t)
-            left, right = pair.left, pair.right
-            return t, left.mean_x, right.mean_x, left.sigma_x, pair.overlap_magnitude
-
+        rows = dynamics.displacement_series(params, sigma0, times)
     else:
         header = ["t", "delta_phi", "overlap_magnitude"]
-
-        def row(t):
-            rec = dynamics.phase_evolution(params, t)
-            return t, rec.delta_phi, rec.overlap_magnitude
-
-    _emit(args, _csv(comments, header, map(row, times)))
+        rows = dynamics.phase_series(params, times)
+    _emit(args, _csv(comments, header, rows))
     return 0
 
 

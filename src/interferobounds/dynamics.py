@@ -9,6 +9,10 @@ measurement and each branch feels the full 1/r^2 force of its path.
 
 Sign convention: positive x points from the probe toward the source, so
 both branch forces are positive and the nearer path pulls harder.
+
+displacement_series and phase_series give the rows of a simulated series
+in closed form, set up once per series; the tests hold the displacement
+rows against this oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import bounds
 from .errors import ConvergenceError, InvalidInputError, NonFiniteError
@@ -138,6 +142,15 @@ def ground_state_with_width(m: float, sigma_x: float) -> GaussianState:
     return ground_state(m, 1.0 / scale)
 
 
+def _invalid_time(t: float) -> None:
+    raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
+
+
+def _check_force(force: float) -> None:
+    if not math.isfinite(force):
+        raise NonFiniteError(f"force must be finite, got {force!r}")
+
+
 def evolve_constant_force(
     state: GaussianState, force: float, m: float, t: float
 ) -> GaussianState:
@@ -148,11 +161,10 @@ def evolve_constant_force(
     Gaussian); the phase advances by the classical action of the mean path.
     """
     if t < 0.0 or not math.isfinite(t):
-        raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
+        _invalid_time(t)
     if not m > 0.0:
         _check_positive("m", "mass", m)
-    if not math.isfinite(force):
-        raise NonFiniteError(f"force must be finite, got {force!r}")
+    _check_force(force)
     tau = t / m
     (sxx, sxp), (_, spp) = state.cov
     new_sxp = sxp + tau * spp
@@ -260,16 +272,59 @@ class BranchPair(NamedTuple):
         return abs(self.overlap)
 
 
+def _branch_forces(p: ScenarioParams) -> tuple[float, float]:
+    # Each path's full 1/r^2 pull (left: distance r, right: distance r+d).
+    k = p.pair_coupling
+    return k / (p.r * p.r), k / ((p.r + p.d) * (p.r + p.d))
+
+
 def displacement_branches(p: ScenarioParams, sigma0: float, t: float) -> BranchPair:
     """Evolve the trap ground state for time t under each path's full
     1/r^2 pull (left: distance r, right: distance r+d)."""
     s0 = ground_state_with_width(p.m_b, sigma0)
-    k = p.pair_coupling
-    f_left = k / (p.r * p.r)
-    f_right = k / ((p.r + p.d) * (p.r + p.d))
+    f_left, f_right = _branch_forces(p)
     left = evolve_constant_force(s0, f_left, p.m_b, t)
     right = evolve_constant_force(s0, f_right, p.m_b, t)
     return BranchPair(left, right, overlap(left, right))
+
+
+def displacement_series(
+    p: ScenarioParams, sigma0: float, times: Iterable[float]
+) -> Iterator[tuple[float, float, float, float, float]]:
+    """Rows (t, mean_x_l, mean_x_r, sigma_x, overlap_magnitude) of
+    displacement_branches at each time in times, in closed form.
+
+    What does not depend on t is set up and checked once, before the
+    first row: the ground state of width sigma0, both forces and their
+    exact difference dF.  The means and the width are the oracle's own
+    float expressions, bit for bit.  The overlap magnitude is
+    exp(-(dF^2/2)*(sigma0^2*t^2 + t^4/(16*m_B^2*sigma0^2))): two equal
+    pure Gaussians whose momenta differ by dF*t and whose back-propagated
+    positions differ by dF*t^2/(2*m_B).  Unlike the oracle's complex
+    overlap, it takes no difference of per-branch quantities.
+    """
+    m = p.m_b
+    (sxx, _), (_, spp) = ground_state_with_width(m, sigma0).cov
+    f_left, f_right = _branch_forces(p)
+    _check_force(f_left)
+    _check_force(f_right)
+    d_force = bounds._differential_force(p, "exact")
+    return _displacement_rows(times, m, sigma0, sxx, spp, 0.5 * f_left, 0.5 * f_right, d_force)
+
+
+def _displacement_rows(times, m, sigma0, sxx, spp, half_left, half_right, d_force):
+    exp, sqrt, inf = math.exp, math.sqrt, math.inf
+    for t in times:
+        if not 0.0 <= t < inf:
+            _invalid_time(t)
+        tau = t / m
+        # The exponent is -(x1^2 + x2^2)/2.  dF*t is formed first: a zero
+        # factor then gives 0, never inf*0.
+        u = d_force * t
+        x1 = u * sigma0
+        x2 = u * (tau / sigma0 * 0.25)
+        yield (t, half_left * t * tau, half_right * t * tau, sqrt(sxx + tau * tau * spp),
+               exp(-0.5 * (x1 * x1 + x2 * x2)))
 
 
 def _check_eps(eps: float) -> None:
@@ -318,8 +373,29 @@ class PhaseBranchPair(NamedTuple):
 def phase_evolution(p: ScenarioParams, t: float) -> PhaseBranchPair:
     """Interferometric probe record after time t, using the exact
     differential phase."""
-    delta_phi = bounds.phase_difference(p, t, "exact")
-    try:
-        return PhaseBranchPair(delta_phi, abs(math.cos(0.5 * delta_phi)))
-    except ValueError:  # math.cos of an infinite phase
-        raise OverflowError(f"differential phase overflows at t = {t!r}") from None
+    _, delta_phi, magnitude = next(phase_series(p, (t,)))
+    return PhaseBranchPair(delta_phi, magnitude)
+
+
+def phase_series(
+    p: ScenarioParams, times: Iterable[float]
+) -> Iterator[tuple[float, float, float]]:
+    """Rows (t, delta_phi, overlap_magnitude) of phase_evolution at each
+    time in times.  The geometry gate and the factors of the exact phase
+    that do not depend on t are checked and computed once, before the
+    first row."""
+    bounds._geometry_gate(p)
+    return _phase_rows(times, p.pair_coupling, p.d, bounds._phase_divisor(p, "exact"))
+
+
+def _phase_rows(times, k, d, divisor):
+    phase, cos, inf = bounds._phase, math.cos, math.inf
+    for t in times:
+        if not 0.0 <= t < inf:
+            _invalid_time(t)
+        delta_phi = phase(k, d, divisor, t)
+        try:
+            magnitude = abs(cos(0.5 * delta_phi))
+        except ValueError:  # math.cos of an infinite phase
+            raise OverflowError(f"differential phase overflows at t = {t!r}") from None
+        yield t, delta_phi, magnitude

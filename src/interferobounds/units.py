@@ -67,11 +67,27 @@ def _kind(kind: str) -> tuple:
         ) from None
 
 
+def _show(value) -> str:
+    # repr, or the size of an int too long for it: Python caps the decimal
+    # text of an int at 4300 digits by default.
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def to_planck(value: float, kind: str) -> float:
     """Express a finite real SI value of the given kind in its Planck unit."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InvalidInputError(f"quantity value must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        # An int beyond the double range; every Planck unit is below one SI
+        # unit, so its Planck value is beyond it too.
+        raise NonFiniteError(
+            f"{_show(value)} {_kind(kind)[0]} is not representable in Planck units"
+        ) from None
     if not math.isfinite(value):
         raise InvalidInputError(f"quantity value must be finite, got {value!r}")
     si_unit, _, factor = _kind(kind)
@@ -86,7 +102,10 @@ def to_planck(value: float, kind: str) -> float:
 def from_planck(x: float, kind: str) -> float:
     """Inverse of to_planck: the SI value of x Planck units of the given
     kind.  Every Planck unit is below one SI unit, so it cannot overflow."""
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:  # an int beyond the double range
+        raise InvalidInputError(f"planck value must be finite, got {_show(x)}") from None
     if not math.isfinite(x):
         raise InvalidInputError(f"planck value must be finite, got {x!r}")
     return float(Fraction(x) * _kind(kind)[2])

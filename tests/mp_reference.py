@@ -1,8 +1,11 @@
 """50-digit mpmath values of the feasibility report's numeric fields, the
-eta-sweep columns and the exact differential phase.
+eta-sweep columns, the exact differential phase and the displacement
+series' columns.
 
 Each value is written from its provenance formula in `bounds._REPORT`,
-`bounds.ETA_COLUMNS` or the `phase_difference` docstring and evaluated on
+`bounds.ETA_COLUMNS`, the `phase_difference` docstring or the physics of
+`dynamics.displacement_series` (free spreading, uniform acceleration and
+the overlap of two displaced Gaussians) and evaluated on
 the exact values of the input doubles, so it shares no rounding with the
 product.  Booleans are left out: they compare these numbers.
 """
@@ -66,6 +69,28 @@ def phase_reference(p: ScenarioParams, t: float):
         src, prb = _strengths(p)
         d, r, t = map(mpmath.mpf, (p.d, p.r, t))
         return src * prb * t * (1 / r - 1 / (r + d))
+
+
+def displacement_reference(p: ScenarioParams, sigma0: float, t: float) -> dict:
+    """{column: mpf} for the displacement series' columns after time t:
+    each branch's mean K/R_i^2*t^2/(2*m_B), the free width
+    sqrt(sigma0^2 + t^2/(4*m_B^2*sigma0^2)) and the overlap magnitude
+    exp(-(dF^2/2)*(sigma0^2*t^2 + t^4/(16*m_B^2*sigma0^2))), with dF the
+    difference of the two forces.  The forces agree to about log10(R/d)
+    digits, so they are formed with that many more."""
+    cancelled = max(0, int(math.log10(p.r) - math.log10(p.d)))
+    with mpmath.workdps(DIGITS + cancelled):
+        src, prb = _strengths(p)
+        m_b, d, r, sigma0, t = map(mpmath.mpf, (p.m_b, p.d, p.r, sigma0, t))
+        f_left, f_right = src * prb / r ** 2, src * prb / (r + d) ** 2
+        d_force = f_left - f_right
+        spread = sigma0 ** 2 * t ** 2 + t ** 4 / (16 * m_b ** 2 * sigma0 ** 2)
+        return {
+            "mean_x_l": f_left * t ** 2 / (2 * m_b),
+            "mean_x_r": f_right * t ** 2 / (2 * m_b),
+            "sigma_x": mpmath.sqrt(sigma0 ** 2 + t ** 2 / (4 * m_b ** 2 * sigma0 ** 2)),
+            "overlap_magnitude": mpmath.exp(-d_force ** 2 / 2 * spread),
+        }
 
 
 def ulps(value: float, exact) -> float:

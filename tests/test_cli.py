@@ -734,6 +734,26 @@ def test_simulate_zero_t_max_single_row():
     assert rows[0][header.index("overlap_magnitude")] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_simulate_survives_an_overflowing_square_of_r(capsys):
+    # (R+d)**2 overflows here, but no printed value does: the series forms
+    # the force difference without a power of R or R+d.
+    argv = [
+        "simulate", "--m-a", "7.971481872985241e-81mp", "--m-b", "3.496730861210543e-284mp",
+        "--d", "503217173307.6336lp", "--r", "3.400941437149519e+251lp",
+        "--dx-min", "2.3723565942780595e-276lp", "--override-geometry",
+        "--model", "displacement", "--t-max", "1.8493637587279373e-210tp", "--steps", "3",
+        "--sigma0", "1.892045407492623e+79lp",
+    ]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(",", 1) for line in lines[4:]] == [
+        ["0,0,0,1.892045407492623e+79", "1"],
+        ["6.1645458624264573e-211,0,0,1.892045407492623e+79", "1"],
+        ["1.2329091724852915e-210,0,0,1.892045407492623e+79", "1"],
+        ["1.8493637587279373e-210,0,0,1.892045407492623e+79", "1"],
+    ]
+
+
 def test_simulate_step_doubling_shares_values():
     base = [
         "simulate", "--model", "displacement", "--m-a", "1e9mp", "--d", "1e6lp",

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -8,15 +9,24 @@ from interferobounds import bounds
 from interferobounds.dynamics import (
     GaussianState,
     displacement_branches,
+    displacement_series,
     evolve_constant_force,
     ground_state,
     ground_state_with_width,
     orthogonalization_time,
     overlap,
     phase_evolution,
+    phase_series,
 )
-from interferobounds.errors import ConvergenceError, InvalidInputError, NonFiniteError
-from interferobounds.scenario import ScenarioParams
+from interferobounds.errors import (
+    ConvergenceError,
+    GeometryError,
+    InvalidInputError,
+    NonFiniteError,
+)
+from interferobounds.scenario import CouplingKind, ScenarioParams
+
+from series_draws import series_draw
 
 
 def _det(cov):
@@ -364,6 +374,76 @@ def test_position_only_crossing_matches_analytic_inversion():
         (b_coef + math.sqrt(b_coef ** 2 + 4.0 * a_coef * c_coef)) / (2.0 * a_coef)
     )
     assert t_numeric == pytest.approx(t_analytic, rel=1e-6)
+
+
+# --- series ---------------------------------------------------------------------
+
+# The oracle's own error in the overlap magnitude, relative, per r/d band: it
+# subtracts per-branch quantities, each rounded on its own, so it loses
+# digits as r/d grows.  The worst disagreement with the closed form over
+# 63,000 draws per band (m_b = 1) was 1.8e-8, 7.8e-5 and 9.8e-5.
+_ORACLE_RTOL = {(2, 4): 5e-8, (4, 6): 2e-4, (8, 10): 2e-4}
+
+
+@pytest.mark.parametrize("band", sorted(_ORACLE_RTOL), ids=lambda b: f"r/d 1e{b[0]}-1e{b[1]}")
+def test_displacement_series_matches_the_oracle(band):
+    rng = random.Random(83 + band[0])
+    couplings = set()
+    for _ in range(300):
+        p, sigma0, t_end = series_draw(rng, band, m_b_decades=0)
+        couplings.add(p.coupling)
+        times = [t_end * i / 4 for i in range(5)]
+        for t, row in zip(times, displacement_series(p, sigma0, times)):
+            pair = displacement_branches(p, sigma0, t)
+            # The means and the width are the oracle's, bit for bit.
+            assert row[:4] == (t, pair.left.mean_x, pair.right.mean_x, pair.left.sigma_x)
+            assert row[4] == pytest.approx(pair.overlap_magnitude, rel=_ORACLE_RTOL[band], abs=0.0)
+    assert couplings == set(CouplingKind)
+
+
+def test_displacement_series_checks_once_before_the_first_row():
+    p = ScenarioParams(m_a=1e9, d=1e6, r=1e8)
+    # An overflowed trap width or force is refused when the series is made.
+    with pytest.raises(NonFiniteError, match="2\\*m\\*sigma_x\\^2 overflows"):
+        displacement_series(replace(p, m_b=1e200), 1e60, [])
+    with pytest.raises(NonFiniteError, match="force must be finite, got inf"):
+        displacement_series(replace(p, m_a=1e300, m_b=1e300), 1.0, [])
+    # A bad time is refused at its row, after the rows before it.
+    rows = displacement_series(p, 1.0, [0.0, 1.0, -1.0])
+    assert [row[0] for row in (next(rows), next(rows))] == [0.0, 1.0]
+    with pytest.raises(InvalidInputError, match="time must be finite and nonnegative"):
+        next(rows)
+
+
+def test_phase_series_rows_are_phase_evolution_bit_for_bit():
+    rng = random.Random(89)
+    for _ in range(500):
+        p, _, _ = series_draw(rng, (2, 10))
+        t_pi = bounds.tb_phase(p, "exact")
+        times = [t_pi * rng.uniform(0.0, 3.0) for _ in range(4)] + [0.0, t_pi]
+        for t, row in zip(times, phase_series(p, times)):
+            record = phase_evolution(p, t)
+            delta_phi = bounds.phase_difference(p, t, "exact")
+            assert row == (t, delta_phi, abs(math.cos(0.5 * delta_phi)))
+            assert row[1:] == record
+
+
+def test_phase_series_gates_once_and_checks_each_row():
+    with pytest.raises(GeometryError):
+        phase_series(ScenarioParams(m_a=1.0, d=1.0, r=10.0), [])
+    p = ScenarioParams(m_a=1.0, d=1.0, r=1e3)
+    rows = phase_series(p, [1.0, math.nan])
+    assert next(rows)[0] == 1.0
+    with pytest.raises(InvalidInputError, match="time must be finite and nonnegative"):
+        next(rows)
+    # The per-row range checks: a phase that underflows to zero at t > 0,
+    # and one whose cosine overflows.
+    tiny = ScenarioParams(m_a=1e-300, m_b=1e-300, d=1e3, r=1e6)
+    with pytest.raises(ArithmeticError, match="phase_difference underflowed to zero"):
+        list(phase_series(tiny, [0.0, 1.0]))
+    huge = ScenarioParams(m_a=1e300, m_b=1e300, d=1e3, r=1e6)
+    with pytest.raises(OverflowError, match="differential phase overflows at t = 1.0"):
+        list(phase_series(huge, [0.0, 1.0]))
 
 
 # --- phase evolution ----------------------------------------------------------

@@ -79,6 +79,24 @@ def test_unrepresentable_conversions_are_non_finite_and_name_the_unit():
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_ints_beyond_the_double_range_raise_the_library_errors(kind):
+    si_unit = KINDS[kind][0]
+    for value in (10 ** 400, -(10 ** 400)):
+        with pytest.raises(NonFiniteError) as to_err:
+            to_planck(value, kind)
+        assert str(to_err.value) == f"{value!r} {si_unit} is not representable in Planck units"
+        with pytest.raises(InvalidInputError) as from_err:
+            from_planck(value, kind)
+        assert not isinstance(from_err.value, NonFiniteError)
+        assert str(from_err.value) == f"planck value must be finite, got {value!r}"
+    # An int too long for repr is named by its size.
+    with pytest.raises(NonFiniteError, match="^an integer of 16610 bits kg is not representable"):
+        to_planck(10 ** 5000, "mass")
+    # An int within the double range still converts.
+    assert to_planck(10 ** 250, kind) == to_planck(1e250, kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_from_planck_of_the_largest_double_is_finite(kind):
     # Every Planck unit is below one SI unit of its kind, so from_planck
     # shrinks every value and has nothing to overflow.
