@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import causal
 from .errors import GeometryError, InvalidInputError
-from .scenario import CouplingKind, ScenarioParams, _check_positive
+from .scenario import CouplingKind, ScenarioParams, _check_positive, _invalid_time
 
 _MODES = ("approx", "exact")
 
@@ -84,7 +84,7 @@ def displacement_shift(delta_f: float, m_b: float, t: float) -> float:
     if not m_b > 0.0:
         _check_positive("m_b", "mass", m_b)
     if t < 0.0 or not math.isfinite(t):
-        raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
+        _invalid_time(t)
     if delta_f < 0.0 or not math.isfinite(delta_f):
         raise InvalidInputError(f"force must be finite and nonnegative, got {delta_f!r}")
     return delta_f * t * t / (2.0 * m_b)
@@ -193,7 +193,7 @@ def phase_difference(p: ScenarioParams, t: float, mode: str = "exact") -> float:
     _check_mode(mode)
     _geometry_gate(p)
     if t < 0.0 or not math.isfinite(t):
-        raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
+        _invalid_time(t)
     return _phase(p.pair_coupling, p.d, _phase_divisor(p, mode), t)
 
 

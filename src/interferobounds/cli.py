@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from itertools import chain
@@ -131,17 +132,16 @@ def _envelope(command: str, input_echo: dict, results: dict, provenance: dict) -
 def _emit(args, text: str) -> None:
     data = text.encode("utf-8")
     out = getattr(args, "out", None)
-    if out:
-        try:
+    try:
+        if out:
             with open(out, "wb") as fh:
                 fh.write(data)
-        except OSError as exc:
-            raise InvalidInputError(
-                f"cannot write --out {out!r}: {exc.strerror or exc}"
-            ) from None
-    else:
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+        else:
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+    except OSError as exc:
+        target = f"--out {out!r}" if out else "stdout"
+        raise InvalidInputError(f"cannot write {target}: {exc.strerror or exc}") from None
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -153,9 +153,9 @@ def _emit_json(args, payload: dict) -> None:
 
 
 def _csv(comments: list[str], header: list[str], rows) -> str:
-    """CSV text; each row is formatted as it arrives, so a generator of
-    rows is never held whole.  Raises ArithmeticError if a value is
-    infinite or NaN, before anything is written."""
+    """CSV text, or ArithmeticError if a value is infinite or NaN.  The
+    formatted body is held whole until that scan passes, which is what
+    keeps such a CSV from being written at all."""
     template = ",".join([_NUMBER] * len(header))
     body = "\n".join([template % row for row in rows])
     # A finite number written with _NUMBER holds no letter n; inf and nan do.
@@ -402,8 +402,17 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def _emit_error(code: str, exc: Exception) -> None:
-    # Always to stdout, even when --out is given.
-    _emit_json(None, {"error": {"code": code, "message": str(exc)}})
+    # To stdout, even when --out is given; to stderr if stdout cannot take it.
+    text = json.dumps({"error": {"code": code, "message": str(exc)}}, indent=2, sort_keys=True)
+    try:
+        _emit(None, text + "\n")
+    except InvalidInputError:
+        # Python flushes stdout again at exit, and would print the failure
+        # then; pointing its descriptor at devnull drops the bytes it holds.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write(text + "\n")
 
 
 def main(argv=None) -> int:

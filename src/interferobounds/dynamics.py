@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import bounds
 from .errors import ConvergenceError, InvalidInputError, NonFiniteError
-from .scenario import ScenarioParams, _check_positive
+from .scenario import ScenarioParams, _check_positive, _invalid_time
 
 # Relative tolerance on det(cov) = 1/4 when a pure-state wavefunction is needed.
 _PURITY_RTOL = 1e-6
@@ -142,10 +142,6 @@ def ground_state_with_width(m: float, sigma_x: float) -> GaussianState:
     return ground_state(m, 1.0 / scale)
 
 
-def _invalid_time(t: float) -> None:
-    raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
-
-
 def _check_force(force: float) -> None:
     if not math.isfinite(force):
         raise NonFiniteError(f"force must be finite, got {force!r}")
@@ -191,8 +187,8 @@ def _cdiv(a: complex, b: complex) -> complex:
     # Complex division as numpy rounds it (Smith's method, then a multiply
     # by the reciprocal of the scaled denominator); CPython's `/` divides by
     # that denominator instead and differs in the last bit on many inputs.
-    # numpy's rounding keeps the overlap, and so the golden series,
-    # bit-identical to the numpy reference kept in the tests.
+    # numpy's rounding keeps the oracle bit-identical to
+    # tests/reference_dynamics.py, and so keeps --t-max auto reproducible.
     br, bi = b.real, b.imag
     if br == 0.0 and bi == 0.0:
         # IEEE x/+0: signed infinity, or NaN for a zero or NaN numerator.

@@ -28,6 +28,10 @@ def _check_positive(name: str, kind: str, value: float) -> None:
         raise InvalidInputError(f"nonpositive {kind} {name} = {value!r}")
 
 
+def _invalid_time(t: float) -> None:
+    raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
+
+
 # The fields a sweep varies, with the kind their error messages name.  No
 # check in ScenarioParams.__post_init__ reads two of them together, or one
 # of them with another field, which is what makes replace_swept sound.

@@ -25,13 +25,13 @@ becomes the product of the normalized masses.
 
 KINDS is the one table of what converts: each kind ("mass", "length",
 "time", "charge") maps to (SI unit, Planck suffix, SI value of its Planck
-unit).  to_planck and from_planck take a kind's name and a plain float.
+unit, a float).  to_planck and from_planck take a kind's name and a plain
+float; each is one float division or multiplication, so it rounds once.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import InvalidInputError, NonFiniteError
 
@@ -49,12 +49,12 @@ _T_P = _L_P / _C
 _Q_P = math.sqrt(4.0 * math.pi * _EPS0 * _HBAR * _C)
 
 # A charge has no Planck suffix: the CLI reads a bare number under --units
-# planck as one.  Each factor is an exact Fraction, so a conversion rounds once.
+# planck as one.
 KINDS = {
-    "mass": ("kg", "mp", Fraction(_M_P)),
-    "length": ("m", "lp", Fraction(_L_P)),
-    "time": ("s", "tp", Fraction(_T_P)),
-    "charge": ("C", None, Fraction(_Q_P)),
+    "mass": ("kg", "mp", _M_P),
+    "length": ("m", "lp", _L_P),
+    "time": ("s", "tp", _T_P),
+    "charge": ("C", None, _Q_P),
 }
 
 
@@ -91,12 +91,11 @@ def to_planck(value: float, kind: str) -> float:
     if not math.isfinite(value):
         raise InvalidInputError(f"quantity value must be finite, got {value!r}")
     si_unit, _, factor = _kind(kind)
-    try:
-        return float(Fraction(value) / factor)
-    except OverflowError:
-        raise NonFiniteError(
-            f"{value!r} {si_unit} is not representable in Planck units"
-        ) from None
+    # A zero of either sign is exactly 0, so it converts to +0.0.
+    x = value / factor if value else 0.0
+    if math.isinf(x):
+        raise NonFiniteError(f"{value!r} {si_unit} is not representable in Planck units")
+    return x
 
 
 def from_planck(x: float, kind: str) -> float:
@@ -108,4 +107,4 @@ def from_planck(x: float, kind: str) -> float:
         raise InvalidInputError(f"planck value must be finite, got {_show(x)}") from None
     if not math.isfinite(x):
         raise InvalidInputError(f"planck value must be finite, got {x!r}")
-    return float(Fraction(x) * _kind(kind)[2])
+    return x * _kind(kind)[2] if x else 0.0

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -156,6 +157,28 @@ def test_unwritable_out_is_invalid_input(tmp_path):
         err = json.loads(proc.stdout)["error"]
         assert err["code"] == "invalid-input"
         assert str(target) in err["message"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (GOLDEN_COMMANDS["bounds_gravity.json"], "cannot write stdout: No space left on device"),
+        (GOLDEN_COMMANDS["sweep_r_log.csv"], "cannot write stdout: No space left on device"),
+        (["bounds", "--m-a", "-1mp", "--d", "1e6lp", "--r", "1e8lp"],
+         "nonpositive mass --m-a '-1mp'"),
+    ],
+    ids=["json", "csv", "error"],
+)
+def test_a_full_stdout_is_invalid_input_on_stderr(argv, message):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "interferobounds", *argv], stdout=full, stderr=subprocess.PIPE
+        )
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr
+    assert json.loads(proc.stderr) == {"error": {"code": "invalid-input", "message": message}}
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 third-party package are for the tests only."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,6 +53,20 @@ def test_only_the_self_validating_classes_import_dataclasses():
         if any(name == "dataclasses" for _, name in _absolute_imports(path))
     )
     assert users == ["dynamics", "scenario"]
+
+
+def test_the_cli_loads_no_exact_arithmetic_and_no_numpy():
+    # The units conversion is one float operation, so a CLI process needs
+    # neither fractions (nor the decimal it loads) nor numpy.  An exact
+    # predicate that wants more precision than a double can keep this with
+    # Dekker's TwoSum/TwoProduct (dynamics._two_product), or by importing
+    # Fraction only inside its rare exact fallback.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = "import sys, interferobounds.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert {"fractions", "decimal", "numpy"} & set(proc.stdout.split()) == set()
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -1,5 +1,8 @@
 import math
+import random
+import struct
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,3 +135,76 @@ def test_kinds_table_covers_every_quantity_flag():
 def test_every_exported_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+
+# The conversion's rounding, pinned against the exact rational result.
+# Each input is first read as a double, as float() reads it; the quotient
+# or product of that double and the Planck unit is then rounded once.
+# float(Fraction) is CPython's correctly rounded int / int, it keeps the sign
+# of a negative underflow, and it raises OverflowError exactly where the
+# rounded result is not finite.  A zero of either sign converts to +0.0.
+
+def _bits_or_error(convert, value, kind):
+    try:
+        return struct.pack("<d", convert(value, kind))
+    except Exception as exc:  # noqa: BLE001 - the type and message are the subject
+        return type(exc), str(exc)
+
+
+def _to_planck_exact(value, kind, factor):
+    si_unit = KINDS[kind][0]
+    try:
+        v = float(value)
+    except OverflowError:
+        return NonFiniteError, f"{value!r} {si_unit} is not representable in Planck units"
+    try:
+        return struct.pack("<d", float(Fraction(v) / factor))
+    except OverflowError:
+        return NonFiniteError, f"{v!r} {si_unit} is not representable in Planck units"
+
+
+def _from_planck_exact(x, kind, factor):
+    try:
+        v = float(x)
+    except OverflowError:
+        return InvalidInputError, f"planck value must be finite, got {x!r}"
+    return struct.pack("<d", float(Fraction(v) * factor))
+
+
+def _rounding_draws(factor, rng, count=100_000):
+    """count finite doubles with uniformly random bit patterns (every
+    exponent, subnormals and both signs), then the edges: zeros, the
+    extreme doubles, subnormals, to_planck's overflow edge, and ints above
+    2**53 and beyond the double range."""
+    draws = []
+    while len(draws) < count:
+        x = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+        if math.isfinite(x):
+            draws.append(x)
+    tiny, huge = 5e-324, sys.float_info.max
+    edges = [0.0, 1.0, tiny, 2.0 * tiny, sys.float_info.min, huge]
+    edges += [rng.getrandbits(52) * tiny for _ in range(1000)]  # subnormals
+    # The largest SI value whose Planck value is finite, and its neighbours.
+    edge = float(Fraction(huge) * factor)
+    for _ in range(20):
+        edges += [edge, math.nextafter(edge, math.inf)]
+        edge = math.nextafter(edge, 0.0)
+    draws += edges + [-x for x in edges]
+    limit = 2 ** 1024 - 2 ** 970  # the smallest int that float() cannot hold
+    ints = [2 ** 53 + 1, 3 ** 40, limit - 1, limit, 2 ** 1024, 10 ** 400]
+    ints += [rng.getrandbits(rng.randint(54, 1100)) | 1 for _ in range(1000)]
+    return draws + ints + [-n for n in ints]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_conversions_round_the_exact_result_once(kind):
+    factor = Fraction(KINDS[kind][2])
+    draws = _rounding_draws(factor, random.Random(f"units rounding {kind}"))
+    for convert, exact in ((to_planck, _to_planck_exact), (from_planck, _from_planck_exact)):
+        differ = [
+            (value, got, want)
+            for value in draws
+            if (got := _bits_or_error(convert, value, kind)) != (want := exact(value, kind, factor))
+        ]
+        assert differ[:5] == [], f"{convert.__name__}: {len(differ)} of {len(draws)} differ"
