@@ -136,6 +136,8 @@ def _emit(args, text: str) -> None:
         if out:
             with open(out, "wb") as fh:
                 fh.write(data)
+        elif sys.stdout is None:  # fd 1 was closed when Python started
+            raise OSError("stdout is closed")
         else:
             sys.stdout.buffer.write(data)
             sys.stdout.buffer.flush()
@@ -144,12 +146,12 @@ def _emit(args, text: str) -> None:
         raise InvalidInputError(f"cannot write {target}: {exc.strerror or exc}") from None
 
 
-def _emit_json(args, payload: dict) -> None:
+def _json(payload: dict) -> str:
+    """Strict JSON text, or ArithmeticError if a value is infinite or NaN."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError:
         raise ArithmeticError("a result is infinite or NaN") from None
-    _emit(args, text + "\n")
 
 
 def _csv(comments: list[str], header: list[str], rows) -> str:
@@ -172,7 +174,7 @@ def _cmd_bounds(args) -> int:
     echo["slack"] = args.slack
     report = bounds.feasibility_report(params, args.model, args.slack)
     env = _envelope("bounds", echo, report.as_dict(), report.provenance)
-    _emit_json(args, env)
+    _emit(args, _json(env))
     return 0
 
 
@@ -205,7 +207,7 @@ def _cmd_causal(args) -> int:
         "backreaction_free": "T_B < R/c",
         "events": "t in t_P, x in l_P",
     }
-    _emit_json(args, _envelope("causal", echo, results, provenance))
+    _emit(args, _json(_envelope("causal", echo, results, provenance)))
     return 0
 
 
@@ -323,11 +325,18 @@ def _add_scenario_flags(sp, required: tuple[str, ...] = ()) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors become invalid-input errors, so
-    they reach stdout as the JSON error object; subparsers inherit this."""
+    """Argument parser whose usage errors become invalid-input errors (the
+    JSON object on stdout) and whose help and version text leaves via _emit."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        # Only help and version text comes here; error() writes its own usage.
+        _emit(None, message)
 
     def error(self, message: str):
-        self.print_usage(sys.stderr)
+        try:  # the usage line goes to stderr, and is dropped if it is closed or full
+            sys.stderr.write(self.format_usage())
+        except (AttributeError, OSError):
+            pass
         raise InvalidInputError(f"{self.prog}: {message}")
 
 
@@ -384,17 +393,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_VALUE_FLAGS = frozenset(
-    [*(f"--{name.replace('_', '-')}" for name in _QUANTITY_FLAGS), "--t-max", "--from", "--to"]
-)
-
-
 def _merge_negative_values(argv: list[str]) -> list[str]:
-    # argparse mistakes a negative quantity like -1mp for an option; fold it
-    # into --flag=value form so validation can reject it with a clear error.
+    # argparse mistakes a negative value like -1mp or -1e-3 for an option;
+    # fold it into --flag=value form so the flag's own check reads it.
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _VALUE_FLAGS and tok.startswith("-") and _TOKEN_RE.match(tok):
+        if out and out[-1].startswith("--") and tok.startswith("-") and _TOKEN_RE.match(tok):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
@@ -403,16 +407,18 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 def _emit_error(code: str, exc: Exception) -> None:
     # To stdout, even when --out is given; to stderr if stdout cannot take it.
-    text = json.dumps({"error": {"code": code, "message": str(exc)}}, indent=2, sort_keys=True)
+    text = _json({"error": {"code": code, "message": str(exc)}})
     try:
-        _emit(None, text + "\n")
+        _emit(None, text)
     except InvalidInputError:
         # Python flushes stdout again at exit, and would print the failure
         # then; pointing its descriptor at devnull drops the bytes it holds.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        sys.stderr.write(text + "\n")
+        if sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if sys.stderr:
+            sys.stderr.write(text)
 
 
 def main(argv=None) -> int:

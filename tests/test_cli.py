@@ -167,13 +167,21 @@ def test_unwritable_out_is_invalid_input(tmp_path):
         (GOLDEN_COMMANDS["sweep_r_log.csv"], "cannot write stdout: No space left on device"),
         (["bounds", "--m-a", "-1mp", "--d", "1e6lp", "--r", "1e8lp"],
          "nonpositive mass --m-a '-1mp'"),
+        (["--help"], "cannot write stdout: No space left on device"),
+        (["sweep", "--help"], "cannot write stdout: No space left on device"),
+        (["--version"], "cannot write stdout: No space left on device"),
+        (["causal", "--t-a", "1tp", "--t-b", "1tp", "--r", "1lp"],
+         "cannot write stdout: stdout is closed"),
     ],
-    ids=["json", "csv", "error"],
+    ids=["json", "csv", "error", "help", "sweep-help", "version", "closed"],
 )
 def test_a_full_stdout_is_invalid_input_on_stderr(argv, message):
+    # The closed case starts the child with fd 1 closed: its sys.stdout is None.
+    closed = message.endswith("stdout is closed")
     with open("/dev/full", "wb") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "interferobounds", *argv], stdout=full, stderr=subprocess.PIPE
+            [sys.executable, "-m", "interferobounds", *argv], stdout=full, stderr=subprocess.PIPE,
+            preexec_fn=(lambda: os.close(1)) if closed else None,
         )
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr
@@ -234,6 +242,13 @@ def test_a_full_stdout_is_invalid_input_on_stderr(argv, message):
          "quantity value must be finite, got inf"),
         (["sweep", "--sweep", "r", "--m-a", "1e9mp", "--d", "1e4lp", "--from", "1e999m",
           "--to", "1e8lp", "--points", "2"], "quantity value must be finite, got inf"),
+        # The checks each subcommand makes before it computes.
+        (["sweep", "--sweep", "eta", "--from", "abc", "--to", "0.9", "--points", "2",
+          "--m-a", "1mp", "--d", "1lp"], "eta from must be a plain number, got 'abc'"),
+        (["sweep", "--sweep", "r", "--d", "1e4lp", "--from", "1e6lp", "--to", "1e8lp",
+          "--points", "2"], "missing required parameter --m-a"),
+        (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
+          "--t-max", "1tp", "--steps", "0"], "steps must be >= 1, got 0"),
     ],
 )
 def test_usage_errors_emit_json_error(argv, fragment):
@@ -255,6 +270,13 @@ def test_usage_errors_emit_json_error(argv, fragment):
          "slack must be finite and positive, got 0.0"),
         (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
           "--t-max", "1tp", "--steps", "2", "--eps", "5"], "eps must lie in (0, 1), got 5.0"),
+        # A negative value in exponent form is read by its flag's check too.
+        (["bounds", "--m-a", "1e6mp", "--d", "1e6lp", "--r", "1e8lp", "--slack", "-1e-3"],
+         "slack must be finite and positive, got -0.001"),
+        (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
+          "--t-max", "1tp", "--steps", "2", "--eps", "-1e-3"], "eps must lie in (0, 1), got -0.001"),
+        (["bounds", "--m-a", "1e6mp", "--d", "1e6lp", "--r", "1e8lp", "--r-over-d-min", "-1e2"],
+         "nonpositive ratio r_over_d_min = -100.0"),
     ],
 )
 def test_slack_and_eps_faults_give_the_library_message(argv, message, capsys):
@@ -266,7 +288,12 @@ def test_slack_and_eps_faults_give_the_library_message(argv, message, capsys):
     assert captured.err == ""
 
 
-def test_usage_errors_in_process_return_two(capsys):
+def test_usage_errors_in_process_return_two(capsys, monkeypatch):
+    assert main(["simulate", "--model", "displacement"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid-input"
+    # With stderr closed (sys.stderr is None) the usage line is dropped, and
+    # stdout still holds the error object alone.
+    monkeypatch.setattr(sys, "stderr", None)
     assert main(["simulate", "--model", "displacement"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "invalid-input"
 
