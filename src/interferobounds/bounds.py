@@ -14,11 +14,12 @@ dependence so the dropped O(d/r) factors can be audited.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import causal
 from .errors import GeometryError, InvalidInputError
-from .scenario import CouplingKind, ScenarioParams, _check_positive, _invalid_time
+from .scenario import (_SWEPT_FIELDS, CouplingKind, ScenarioParams, _check_positive,
+                       _invalid_time, replace_swept)
 
 _MODES = ("approx", "exact")
 
@@ -139,19 +140,32 @@ ETA_COLUMNS = (
 )
 
 
-def eta_row(eta: float, m_a: float, d: float) -> tuple[float, float, float, float]:
-    """The ETA_COLUMNS values at fraction eta; the eta family's one evaluation."""
-    if not 0.0 < eta < 1.0:
-        raise InvalidInputError(f"eta must lie in the open interval (0, 1), got {eta!r}")
+def eta_series(
+    m_a: float, d: float, etas: Iterable[float]
+) -> Iterator[tuple[float, float, float, float, float]]:
+    """Rows (eta, *the ETA_COLUMNS values) at each fraction eta in etas;
+    the eta family's one evaluation.  m_a and d are checked once, before
+    the first row; each eta must lie in the open interval (0, 1)."""
     if not m_a > 0.0:
         _check_positive("m_a", "mass", m_a)
     if not d > 0.0:
         _check_positive("d", "length", d)
-    # eta^2*(1 - eta), not eta^2 - eta^3, which cancels as eta -> 1; the
-    # total is the exact sum, not the sum of the two rounded columns.
-    tb = 4.0 * eta ** 3 * m_a * d
-    ta = 4.0 * eta * eta * (1.0 - eta) * m_a * d
-    return tb, ta, 4.0 * eta * eta * m_a * d, 2.0 * eta * eta * m_a * d
+    return _eta_rows(m_a, d, etas)
+
+
+def _eta_rows(m_a, d, etas):
+    for eta in etas:
+        if not 0.0 < eta < 1.0:
+            raise InvalidInputError(f"eta must lie in the open interval (0, 1), got {eta!r}")
+        # eta^2*(1 - eta), not eta^2 - eta^3, which cancels as eta -> 1; the
+        # total is the exact sum, not the sum of the two rounded columns.
+        yield (eta, 4.0 * eta ** 3 * m_a * d, 4.0 * eta * eta * (1.0 - eta) * m_a * d,
+               4.0 * eta * eta * m_a * d, 2.0 * eta * eta * m_a * d)
+
+
+def eta_row(eta: float, m_a: float, d: float) -> tuple[float, float, float, float]:
+    """The ETA_COLUMNS values at fraction eta: eta_series at one point."""
+    return next(eta_series(m_a, d, (eta,)))[1:]
 
 
 def ta_min_round_trip(m_a: float, d: float) -> float:
@@ -247,39 +261,47 @@ def r_max_phase(m_a: float, m_b: float, d: float) -> float:
 
 
 # The feasibility report, one row per field in output order:
-# (field, model, provenance, value).  Rows of model None belong to every
-# report.  value(p, slack, v) may read the fields before it from v, and
-# calls the far-field bodies, which skip the geometry gate.  In
-# provenance, {src}, {prb} and {pair} stand for the coupling's symbols.
+# (field, model, provenance, reads, value).  Rows of model None belong to
+# every report.  reads names the swept fields (m_a, m_b, d, r) the value
+# depends on, under gravity and under coulomb coupling, through the fields
+# it reads from v included; a report series evaluates a row again only
+# when it reads the swept field.  value(p, slack, v) may read the fields
+# before it from v, and calls the far-field bodies, which skip the
+# geometry gate.  In provenance, {src}, {prb} and {pair} stand for the
+# coupling's symbols.
 _REPORT = (
     ("tb_displacement", "displacement", "sqrt(2*slack*dx_min*m_B*R^3/(K*d))",
-     lambda p, slack, v: _tb_displacement(p, slack)),
-    ("ta_min_round_trip", "displacement", "(16/27)*(K/m_B)*d",
+     ("m_a d r", "m_b d r"), lambda p, slack, v: _tb_displacement(p, slack)),
+    ("ta_min_round_trip", "displacement", "(16/27)*(K/m_B)*d", ("m_a d", "m_b d"),
      lambda p, slack, v: ta_min_round_trip(p.effective_source_mass, p.d)),
-    ("ta_min_one_way", "displacement", "(2/27)*(K/m_B)*d",
+    ("ta_min_one_way", "displacement", "(2/27)*(K/m_B)*d", ("m_a d", "m_b d"),
      lambda p, slack, v: ta_min_one_way(p.effective_source_mass, p.d)),
-    ("r_max_displacement", "displacement", "(K/m_B)*d/(2*slack)",
+    ("r_max_displacement", "displacement", "(K/m_B)*d/(2*slack)", ("m_a d", "m_b d"),
      lambda p, slack, v: r_max_displacement(p.effective_source_mass, p.d, slack)),
     ("displacement_backreaction_free", "displacement", "tb_displacement < R/c",
+     ("m_a d r", "m_b d r"),
      lambda p, slack, v: causal.backreaction_free(v["tb_displacement"], p.r)),
-    ("tb_phase_exact", "phase", "pi*R*(R+d)/(K*d)",
+    ("tb_phase_exact", "phase", "pi*R*(R+d)/(K*d)", ("m_a m_b d r", "d r"),
      lambda p, slack, v: _tb_phase(p, "exact")),
-    ("tb_phase_approx", "phase", "pi*R^2/(K*d)",
+    ("tb_phase_approx", "phase", "pi*R^2/(K*d)", ("m_a m_b d r", "d r"),
      lambda p, slack, v: _tb_phase(p, "approx")),
-    ("r_max_phase", "phase", "K*d/pi",
+    ("r_max_phase", "phase", "K*d/pi", ("m_a m_b d", "d"),
      lambda p, slack, v: r_max_phase(p.source_strength, p.probe_strength, p.d)),
-    ("phase_backreaction_free", "phase", "R < K*d/pi",
+    ("phase_backreaction_free", "phase", "R < K*d/pi", ("m_a m_b d r", "d r"),
      lambda p, slack, v: p.r < v["r_max_phase"]),
-    ("geometry_valid", None, "R/d >= r_over_d_min",
+    ("geometry_valid", None, "R/d >= r_over_d_min", ("d r", "d r"),
      lambda p, slack, v: p.geometry_valid),
-    ("source_planck_ratio", None, "{src}", lambda p, slack, v: p.source_strength),
-    ("probe_planck_ratio", None, "{prb}", lambda p, slack, v: p.probe_strength),
-    ("pair_planck_ratio", None, "{pair}", lambda p, slack, v: p.pair_coupling),
-    ("source_exceeds_planck", None, "{src} >= r_over_d_min",
+    ("source_planck_ratio", None, "{src}", ("m_a", ""),
+     lambda p, slack, v: p.source_strength),
+    ("probe_planck_ratio", None, "{prb}", ("m_b", ""),
+     lambda p, slack, v: p.probe_strength),
+    ("pair_planck_ratio", None, "{pair}", ("m_a m_b", ""),
+     lambda p, slack, v: p.pair_coupling),
+    ("source_exceeds_planck", None, "{src} >= r_over_d_min", ("m_a", ""),
      lambda p, slack, v: v["source_planck_ratio"] >= p.r_over_d_min),
-    ("probe_exceeds_planck", None, "{prb} >= r_over_d_min",
+    ("probe_exceeds_planck", None, "{prb} >= r_over_d_min", ("m_b", ""),
      lambda p, slack, v: v["probe_planck_ratio"] >= p.r_over_d_min),
-    ("pair_exceeds_planck_sq", None, "{pair} >= r_over_d_min",
+    ("pair_exceeds_planck_sq", None, "{pair} >= r_over_d_min", ("m_a m_b", ""),
      lambda p, slack, v: v["pair_planck_ratio"] >= p.r_over_d_min),
 )
 _FIELDS = tuple(row[0] for row in _REPORT)
@@ -336,9 +358,53 @@ def report_values(p: ScenarioParams, model: str = "both", slack: float = 1.0) ->
     rows = _rows(model)
     _check_slack(slack)
     values: dict = {}
-    for name, _, _, value in rows:
+    for name, _, _, _, value in rows:
         values[name] = value(p, slack, values)
     return values
+
+
+def report_series(
+    p: ScenarioParams, model: str, slack: float, name: str, values: Iterable[float]
+) -> tuple[dict, Iterator[tuple]]:
+    """The report at each value of the swept field name (m_a, m_b, d or
+    r), set up once per series: (constants, rows).
+
+    Each value gives the bits, or the error, of report_values(
+    replace_swept(p, name, value), model, slack).  The first value is
+    evaluated in full; constants maps each field whose row does not read
+    name to its value there.  rows yields (value, *the other fields'
+    values) at every value, and after the first evaluates only those
+    rows: a row is a function of the fields it reads.
+    """
+    values = iter(values)
+    first = next(values, None)
+    if first is None:
+        raise InvalidInputError("a report series needs at least one value")
+    q = replace_swept(p, name, first)
+    v = report_values(q, model, slack)
+    column = list(CouplingKind).index(q.coupling)
+    varying = [(field, value) for field, _, _, reads, value in _rows(model)
+               if name in reads[column].split()]
+    constants = v.copy()
+    for field, _ in varying:
+        del constants[field]
+    return constants, _report_rows(q, slack, name, v, varying, values)
+
+
+def _report_rows(q, slack, name, v, varying, values):
+    # q is this series' own copy, never handed out: each point writes the
+    # swept value into it, and into v the rows that read it.
+    kind, fields, inf = _SWEPT_FIELDS[name], q.__dict__, math.inf
+    yield (fields[name], *[v[field] for field, _ in varying])
+    for value in values:
+        if not 0.0 < value < inf:
+            _check_positive(name, kind, value)
+        fields[name] = value
+        row = [value]
+        for field, fn in varying:
+            v[field] = x = fn(q, slack, v)
+            row.append(x)
+        yield tuple(row)
 
 
 def report_provenance(coupling: CouplingKind, model: str = "both") -> dict:
@@ -347,7 +413,7 @@ def report_provenance(coupling: CouplingKind, model: str = "both") -> dict:
     symbols = _SYMBOLS.get(coupling)
     if symbols is None:
         raise InvalidInputError(f"unknown coupling {coupling!r}")
-    return {name: provenance.format(**symbols) for name, _, provenance, _ in rows}
+    return {name: provenance.format(**symbols) for name, _, provenance, _, _ in rows}
 
 
 def feasibility_report(

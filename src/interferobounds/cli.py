@@ -22,7 +22,7 @@ from itertools import chain
 
 from . import __version__, bounds, causal, dynamics
 from .errors import ConvergenceError, InvalidInputError
-from .scenario import _SWEPT_FIELDS, CouplingKind, ScenarioParams, _check_positive, replace_swept
+from .scenario import _SWEPT_FIELDS, CouplingKind, ScenarioParams, _check_positive
 from .units import KINDS, from_planck, to_planck
 
 # Unit suffix -> (kind, unit system), from the units table.
@@ -154,11 +154,16 @@ def _json(payload: dict) -> str:
         raise ArithmeticError("a result is infinite or NaN") from None
 
 
-def _csv(comments: list[str], header: list[str], rows) -> str:
-    """CSV text, or ArithmeticError if a value is infinite or NaN.  The
-    formatted body is held whole until that scan passes, which is what
-    keeps such a CSV from being written at all."""
-    template = ",".join([_NUMBER] * len(header))
+def _csv(comments: list[str], header: list[str], rows, constants=None) -> str:
+    """CSV text, or ArithmeticError if a value is infinite or NaN.
+
+    constants maps the columns that hold one value on every row to that
+    value, which is formatted once, into the row template; each row then
+    holds the other columns only.  The formatted body is held whole until
+    the scan passes, which is what keeps such a CSV from being written at
+    all."""
+    constants = constants or {}
+    template = ",".join([_fmt(constants[c]) if c in constants else _NUMBER for c in header])
     body = "\n".join([template % row for row in rows])
     # A finite number written with _NUMBER holds no letter n; inf and nan do.
     if "n" in body:
@@ -242,29 +247,26 @@ def _cmd_sweep(args) -> int:
         lo = _parse_bare(args.sweep_from, "eta from")
         hi = _parse_bare(args.to, "eta to")
         provenance = dict(bounds.ETA_COLUMNS)
-        m_eff, d = params.effective_source_mass, params.d
-
-        def row(eta):
-            return (eta, *bounds.eta_row(eta, m_eff, d))
-
+        m_eff = params.effective_source_mass
+        grid = _grid(lo, hi, args.points, args.log)
+        constants, rows = None, bounds.eta_series(m_eff, params.d, grid)
     else:
         kind = _QUANTITY_FLAGS[name]
         lo, _ = _parse_quantity("--from", args.sweep_from, kind, args.units)
         hi, _ = _parse_quantity("--to", args.to, kind, args.units)
         provenance = bounds.report_provenance(params.coupling, args.model)
+        grid = _grid(lo, hi, args.points, args.log)
+        # The columns that do not read the swept field are evaluated and
+        # formatted once; each row carries the others.
+        constants, rows = bounds.report_series(params, args.model, args.slack, name, grid)
 
-        def row(value):
-            p = replace_swept(params, name, value)
-            return (value, *bounds.report_values(p, args.model, args.slack).values())
-
-    grid = _grid(lo, hi, args.points, args.log)
     comments = [
         f"interferobounds {__version__}",
         f"sweep {name} from {_fmt(lo)} to {_fmt(hi)} points {args.points} "
         f"scale {'log' if args.log else 'linear'} (planck units)",
     ]
     comments.extend(f"provenance: {c} = {f}" for c, f in provenance.items())
-    _emit(args, _csv(comments, [name, *provenance], map(row, grid)))
+    _emit(args, _csv(comments, [name, *provenance], rows, constants))
     return 0
 
 

@@ -4,18 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from interferobounds import causal
+from interferobounds import bounds, causal
 from interferobounds.bounds import (
     BoundsReport,
     differential_force,
     displacement_shift,
     eta_row,
+    eta_series,
     feasibility_report,
     phase_difference,
     r_implied,
     r_max_displacement,
     r_max_phase,
     report_provenance,
+    report_series,
     report_values,
     ta_lower_bound,
     ta_min_one_way,
@@ -660,3 +662,147 @@ def test_replace_swept_rejects_what_replace_rejects(name, coulomb):
     assert base == ScenarioParams(**kw)
     with pytest.raises(InvalidInputError, match="cannot sweep"):
         replace_swept(base, "q_a", 1.0)
+
+
+# --- report and eta series --------------------------------------------------
+
+
+def _row_outcomes(p, slack):
+    """Each report row's value, or the type and message of what it raises,
+    with every row before it evaluated the same way."""
+    values, outcomes = {}, {}
+    for field, _, _, _, value in bounds._REPORT:
+        try:
+            values[field] = value(p, slack, values)
+            outcomes[field] = (type(values[field]), repr(values[field]))
+        except Exception as exc:
+            outcomes[field] = (type(exc), str(exc))
+    return outcomes
+
+
+def _perturbation_draw(rng, coulomb):
+    """A seeded scenario: half of the draws far-field, half anywhere in the
+    double range, where rows overflow, underflow and raise."""
+    lo, hi = (-300.0, 300.0) if rng.random() < 0.5 else (-2.0, 12.0)
+    kw = {name: float(10.0 ** rng.uniform(lo, hi)) for name in ("m_a", "m_b", "d", "r")}
+    if coulomb:
+        kw.update(coupling=CouplingKind.COULOMB, q_a=float(10.0 ** rng.uniform(lo, hi)),
+                  q_b=float(10.0 ** rng.uniform(lo, hi)))
+        if rng.random() < 0.8:
+            kw["delta_x_min"] = float(10.0 ** rng.uniform(lo, hi))
+    return ScenarioParams(**kw), float(rng.choice((1.0, 2.5, 10.0 ** rng.uniform(-3, 3))))
+
+
+@pytest.mark.parametrize("coulomb", [False, True])
+@pytest.mark.parametrize("name", ["m_a", "m_b", "d", "r"])
+def test_report_rows_read_only_the_fields_they_declare(name, coulomb):
+    # A row that does not declare name must give the same bits, or raise
+    # the same error, whatever the value of name: report_series takes it
+    # from the first point of a series.
+    rng = np.random.default_rng(4701 + 2 * ["m_a", "m_b", "d", "r"].index(name) + coulomb)
+    column = 1 if coulomb else 0
+    undeclared = [row[0] for row in bounds._REPORT if name not in row[3][column].split()]
+    for _ in range(300):
+        p, slack = _perturbation_draw(rng, coulomb)
+        base = _row_outcomes(p, slack)
+        for _ in range(3):
+            lo, hi = rng.choice(((-300.0, 300.0), (-2.0, 12.0)))
+            moved = _row_outcomes(replace_swept(p, name, float(10.0 ** rng.uniform(lo, hi))), slack)
+            for field in undeclared:
+                assert moved[field] == base[field], (field, p, slack)
+
+
+def _varying(coupling, model, name):
+    kw = dict(m_a=1e9, d=1e4, r=1e8, m_b=2.0, coupling=coupling)
+    if coupling is CouplingKind.COULOMB:
+        kw.update(q_a=1e3, q_b=10.0, delta_x_min=3.0)
+    constants, _ = report_series(ScenarioParams(**kw), model, 1.0, name, [kw[name]])
+    return [field for field in report_values(ScenarioParams(**kw), model) if field not in constants]
+
+
+def test_report_series_evaluates_only_the_rows_that_read_the_swept_field():
+    gravity, coulomb = CouplingKind.GRAVITY, CouplingKind.COULOMB
+    assert _varying(gravity, "both", "r") == [
+        "tb_displacement", "displacement_backreaction_free", "tb_phase_exact",
+        "tb_phase_approx", "phase_backreaction_free", "geometry_valid"]
+    assert _varying(coulomb, "both", "m_a") == []
+    # Gravity's K/m_B is m_a: of a displacement report, only the Planck
+    # ratios and their flags read m_b.
+    assert _varying(gravity, "displacement", "m_b") == [
+        "probe_planck_ratio", "pair_planck_ratio", "probe_exceeds_planck",
+        "pair_exceeds_planck_sq"]
+    assert len(_varying(gravity, "both", "m_b")) == 8
+    assert len(_varying(coulomb, "both", "d")) == 10
+    assert len(_varying(coulomb, "phase", "m_b")) == 0
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_report_series_equals_report_values_at_every_point():
+    rng = np.random.default_rng(4702)
+    later_faults = 0
+    for coulomb in (False, True) * 200:
+        p, slack = _perturbation_draw(rng, coulomb)
+        name = str(rng.choice(["m_a", "m_b", "d", "r"]))
+        model = str(rng.choice(["displacement", "phase", "both"]))
+        values = [float(10.0 ** rng.uniform(-100, 100)) * getattr(p, name) for _ in range(6)]
+        expected = [
+            _outcome(lambda v: report_values(replace_swept(p, name, v), model, slack), value)
+            for value in values
+        ]
+        series = _outcome(report_series, p, model, slack, name, values)
+        if not isinstance(expected[0], dict):
+            assert series == expected[0]
+            continue
+        constants, rows = series
+        for value, full in zip(values, expected):
+            row = _outcome(next, rows)
+            if not isinstance(full, dict):
+                assert row == full
+                later_faults += 1
+                break
+            assert row == (value, *[x for f, x in full.items() if f not in constants])
+            assert {f: x for f, x in full.items() if f in constants} == constants
+    assert later_faults >= 5
+
+
+def test_report_series_checks_each_value_and_hands_out_no_scenario():
+    p = ScenarioParams(m_a=1e9, d=1e4, r=1e8)
+    _, rows = report_series(p, "both", 1.0, "r", [1e6, 1e7, -1.0, 1e8])
+    assert [row[0] for row in (next(rows), next(rows))] == [1e6, 1e7]
+    with pytest.raises(InvalidInputError) as got:
+        next(rows)
+    with pytest.raises(InvalidInputError) as expected:
+        replace_swept(p, "r", -1.0)
+    assert str(got.value) == str(expected.value) == "nonpositive length r = -1.0"
+    assert p == ScenarioParams(m_a=1e9, d=1e4, r=1e8)
+    with pytest.raises(InvalidInputError, match="at least one value"):
+        report_series(p, "both", 1.0, "r", [])
+    with pytest.raises(InvalidInputError, match="cannot sweep"):
+        report_series(p, "both", 1.0, "q_a", [1.0])
+
+
+def test_eta_series_checks_m_a_and_d_once_and_each_eta():
+    def untouched():
+        raise AssertionError("the etas were read before m_a and d were checked")
+        yield
+
+    for m_a, d, message in ((0.0, 1.0, "nonpositive mass m_a = 0.0"),
+                            (1.0, math.nan, "non-finite length d = nan")):
+        with pytest.raises(InvalidInputError) as got:
+            eta_series(m_a, d, untouched())
+        assert str(got.value) == message
+    rng = np.random.default_rng(4703)
+    etas = [float(e) for e in rng.uniform(0.0, 1.0, 500)]
+    m_a, d = float(10.0 ** rng.uniform(-100, 100)), float(10.0 ** rng.uniform(-100, 100))
+    assert list(eta_series(m_a, d, etas)) == [(e, *eta_row(e, m_a, d)) for e in etas]
+    rows = eta_series(m_a, d, [0.5, 1.0])
+    assert next(rows) == (0.5, *eta_row(0.5, m_a, d))
+    with pytest.raises(InvalidInputError, match=r"open interval \(0, 1\), got 1.0"):
+        next(rows)

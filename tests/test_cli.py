@@ -11,7 +11,7 @@ import pytest
 from interferobounds import __version__, bounds, cli
 from interferobounds.cli import main
 from interferobounds.errors import NonFiniteError
-from interferobounds.scenario import CouplingKind, ScenarioParams
+from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
 from interferobounds.units import to_planck
 
 from freeze_baselines import DATA, GOLDEN_COMMANDS
@@ -753,6 +753,116 @@ def test_sweep_rows_build_no_scenario(monkeypatch, capsys):
             assert len(capsys.readouterr().out.splitlines()) > 50
             # The scenario read from the flags; each row copies it unvalidated.
             assert len(built) == 1
+
+
+def _error_object(exc):
+    """The error object main prints for an exception a command raised."""
+    if isinstance(exc, ZeroDivisionError):
+        detail = "a divisor underflowed to zero"
+    elif isinstance(exc, ArithmeticError):
+        detail = exc.args[-1] if exc.args else exc
+    else:
+        return {"code": "invalid-input", "message": str(exc)}
+    return {"code": "out-of-range", "message": f"result outside the floating-point range: {detail}"}
+
+
+_UNIT = {"m_a": "mp", "m_b": "mp", "d": "lp", "r": "lp"}
+
+
+def _sweep_argv(kw, name, lo, hi, *extra):
+    """A sweep of name from lo to hi over ScenarioParams(**kw)."""
+    argv = ["sweep", "--sweep", name, f"--from={lo!r}{_UNIT[name]}", f"--to={hi!r}{_UNIT[name]}"]
+    argv += [f"--{f.replace('_', '-')}={kw[f]!r}{unit}" for f, unit in _UNIT.items() if f != name]
+    if kw.get("coupling") is CouplingKind.COULOMB:
+        argv += ["--coupling", "coulomb", f"--q-a={kw['q_a']!r}", f"--q-b={kw['q_b']!r}"]
+    if kw.get("delta_x_min") is not None:
+        argv.append(f"--dx-min={kw['delta_x_min']!r}lp")
+    return argv + list(extra)
+
+
+def _late_fault_case(rng, fault):
+    """A seeded scenario whose report raises somewhere on a log grid of
+    name from lo to hi: (kw, name, lo, hi)."""
+    coulomb = CouplingKind.COULOMB
+    if fault == "r-cubed":
+        # r**3 overflows once r passes about 5.6e102.
+        kw = dict(m_a=10.0 ** rng.uniform(0, 10), m_b=1.0, d=10.0 ** rng.uniform(0, 5), r=1.0)
+        return kw, "r", 1.0, 1e308
+    if fault == "source-strength":
+        # A coulomb K/m_B that underflows to zero as m_B grows.
+        kw = dict(m_a=1.0, m_b=1.0, d=1.0, r=1e3, coupling=coulomb,
+                  q_a=10.0 ** rng.uniform(-155, -145), q_b=10.0 ** rng.uniform(-155, -145),
+                  delta_x_min=10.0 ** rng.uniform(0, 2))
+        return kw, "m_b", 1.0, 1e300
+    if fault == "tb-underflow":
+        # 2*r^3/(m_A*d) underflows, and so tb_displacement, as m_A grows.
+        kw = dict(m_a=1.0, m_b=1.0, d=1.0, r=10.0 ** rng.uniform(-100, -96))
+        return kw, "m_a", 1.0, 1e300
+    # No dx_min, and K/m_B underflows too: the missing floor is met first.
+    kw = dict(m_a=1.0, m_b=1e100, d=1.0, r=1e3, coupling=coulomb, q_a=1e-150, q_b=1e-150)
+    return kw, "r", 1e2, 1e6
+
+
+@pytest.mark.parametrize("fault", ["r-cubed", "source-strength", "tb-underflow", "two-faults"])
+def test_sweep_fault_is_the_report_values_fault_at_its_point(fault, capsys):
+    rng = random.Random(f"late-fault {fault}")
+    for _ in range(4):
+        kw, name, lo, hi = _late_fault_case(rng, fault)
+        model, points = rng.choice(("displacement", "both")), rng.randint(20, 60)
+        base = ScenarioParams(**kw)
+        for index, value in enumerate(cli._grid(lo, hi, points, True)):
+            try:
+                bounds.report_values(replace_swept(base, name, value), model)
+            except Exception as exc:
+                expected = _error_object(exc)
+                break
+        else:
+            pytest.fail(f"{kw} never faults")
+        if fault == "two-faults":
+            assert index == 0
+            assert expected == {"code": "invalid-input", "message":
+                                "coulomb displacement bounds require an explicit delta_x_min"}
+        else:
+            assert index > 0, kw
+        argv = _sweep_argv(kw, name, lo, hi, "--points", str(points), "--log", "--model", model)
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out) == {"error": expected}, argv
+
+
+# A scenario near every edge a report flag reads: r/d = 1000 against
+# r_over_d_min = 100, r against the back-reaction radii (K/m_B)*d/2 = 1000
+# and K*d/pi = 955; its coulomb twin has the same K and K/m_B.
+_EDGE_SCENARIO = {"m_a": 2e3, "m_b": 1.5, "d": 1.0, "r": 1e3}
+_BOOL_COLUMNS = ("displacement_backreaction_free", "phase_backreaction_free", "geometry_valid")
+
+
+@pytest.mark.parametrize("slack", [None, "2.5"])
+@pytest.mark.parametrize("log", [False, True])
+@pytest.mark.parametrize("coulomb", [False, True])
+@pytest.mark.parametrize("name", ["m_a", "m_b", "d", "r"])
+def test_sweep_rows_across_the_flag_edges(name, coulomb, log, slack, capsys):
+    kw = dict(_EDGE_SCENARIO)
+    if coulomb:
+        kw.update(coupling=CouplingKind.COULOMB, q_a=2e3, q_b=1.5, delta_x_min=1.0)
+    argv = _sweep_argv(kw, name, kw[name] / 1e3, kw[name] * 1e3, "--points", "401",
+                       *["--log"] * log, *["--slack", slack] * bool(slack))
+    assert main(argv) == 0, argv
+    out = capsys.readouterr().out
+    header, rows = parse_csv(out)
+    lines = [l for l in out.splitlines() if not l.startswith("#")][1:]
+    base = ScenarioParams(**kw)
+    for line in lines:
+        value = float(line.split(",", 1)[0])
+        p = replace_swept(base, name, value)
+        row = (value, *bounds.report_values(p, "both", float(slack or 1.0)).values())
+        assert line == ",".join(map(_old_fmt, row)), argv
+    flipped = {c for c in _BOOL_COLUMNS if len({row[header.index(c)] for row in rows}) == 2}
+    if coulomb and name == "m_a":
+        assert len({line.split(",", 1)[1] for line in lines}) == 1
+    elif name in ("d", "r"):
+        assert flipped == set(_BOOL_COLUMNS), argv
+    else:
+        assert flipped, argv
 
 
 _NUMBERS = [True, False, 0.0, -0.0, 5e-324, 2.225073858507201e-308, 1.0 / 3.0,
