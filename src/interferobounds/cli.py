@@ -20,7 +20,7 @@ import re
 import sys
 from itertools import chain
 
-from . import __version__, bounds, causal, dynamics
+from . import __version__, bounds, causal
 from .errors import ConvergenceError, InvalidInputError
 from .scenario import _SWEPT_FIELDS, CouplingKind, ScenarioParams, _check_positive
 from .units import KINDS, from_planck, to_planck
@@ -271,6 +271,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import dynamics  # only simulate pays for importing it
+
     dynamics._check_eps(args.eps)
     params, _ = _scenario_from_args(args)
     sigma0 = _read_quantities(args, ("sigma0",))[0]["sigma0"]

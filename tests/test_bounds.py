@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
 from interferobounds.units import from_planck, to_planck
 
 from eta_oracle import optimize_eta
+from scenario_copy import validated_copy
 
 
 def scenario(**kw):
@@ -197,7 +197,7 @@ def test_tb_displacement_equals_light_time_at_r_equals_d():
 
 def test_tb_displacement_inverse_sqrt_mass_scaling():
     p = scenario(m_a=1.0, d=1.0, r=1e4)
-    p4 = replace(p, m_a=4.0)
+    p4 = validated_copy(p, m_a=4.0)
     assert tb_displacement(p4) == pytest.approx(0.5 * tb_displacement(p), rel=1e-12)
 
 
@@ -284,7 +284,7 @@ def test_tb_displacement_coulomb_needs_explicit_floor():
     )
     with pytest.raises(InvalidInputError):
         tb_displacement(p)
-    ok = replace(p, delta_x_min=1.0)
+    ok = validated_copy(p, delta_x_min=1.0)
     # Same coupling K = 100 as a gravity pair with m_a*m_b = 100.
     grav = ScenarioParams(m_a=100.0, d=1.0, r=1e4)
     assert tb_displacement(ok) == pytest.approx(tb_displacement(grav), rel=1e-12)
@@ -460,7 +460,7 @@ def test_phase_difference_zero_time_and_linearity():
     assert phase_difference(p, 0.0) == 0.0
     base = phase_difference(p, 2.0)
     assert phase_difference(p, 4.0) == pytest.approx(2.0 * base, rel=1e-12)
-    doubled_k = replace(p, m_a=4.0)
+    doubled_k = validated_copy(p, m_a=4.0)
     assert phase_difference(doubled_k, 2.0) == pytest.approx(2.0 * base, rel=1e-12)
 
 
@@ -519,7 +519,7 @@ def test_bounds_scaling_exponents():
             s * r_max_displacement(m_a, d), rel=1e-12
         )
         p = ScenarioParams(m_a=m_a, d=d, r=1e6 * d)
-        ps = replace(p, r=s * 1e6 * d, override_geometry=True)
+        ps = validated_copy(p, r=s * 1e6 * d, override_geometry=True)
         assert tb_displacement(ps) == pytest.approx(
             s ** 1.5 * tb_displacement(p), rel=1e-12
         )
@@ -649,7 +649,7 @@ def test_replace_swept_rejects_what_replace_rejects(name, coulomb):
     base = ScenarioParams(**kw)
     for value in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 3.5):
         try:
-            expected = replace(base, **{name: value})
+            expected = validated_copy(base, **{name: value})
         except InvalidInputError as exc:
             with pytest.raises(InvalidInputError) as got:
                 replace_swept(base, name, value)

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -15,6 +14,7 @@ from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
 from interferobounds.units import to_planck
 
 from freeze_baselines import DATA, GOLDEN_COMMANDS
+from scenario_copy import validated_copy
 
 GOLDEN = DATA / "golden"
 
@@ -734,7 +734,7 @@ def test_sweep_rows_equal_report_values_of_replaced_params(capsys):
                 assert len(lines) == 9
                 for line in lines:
                     value = float(line.split(",", 1)[0])
-                    p = replace(base, **{name: value})
+                    p = validated_copy(base, **{name: value})
                     row = (value, *bounds.report_values(p, model, 2.5).values())
                     assert line == ",".join(map(_old_fmt, row)), argv
 

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from interferobounds.errors import (
 )
 from interferobounds.scenario import CouplingKind, ScenarioParams
 
+from scenario_copy import validated_copy
 from series_draws import series_draw
 
 
@@ -317,7 +317,7 @@ def test_orthogonalization_force_scaling():
     # (via the source mass) halves the crossing time.
     p = ScenarioParams(m_a=1e9, d=1e6, r=1e8)
     t1 = orthogonalization_time(p, 1.0, 0.01)
-    t2 = orthogonalization_time(replace(p, m_a=4e9), 1.0, 0.01)
+    t2 = orthogonalization_time(validated_copy(p, m_a=4e9), 1.0, 0.01)
     assert t2 == pytest.approx(0.5 * t1, rel=1e-3)
 
 
@@ -405,9 +405,9 @@ def test_displacement_series_checks_once_before_the_first_row():
     p = ScenarioParams(m_a=1e9, d=1e6, r=1e8)
     # An overflowed trap width or force is refused when the series is made.
     with pytest.raises(NonFiniteError, match="2\\*m\\*sigma_x\\^2 overflows"):
-        displacement_series(replace(p, m_b=1e200), 1e60, [])
+        displacement_series(validated_copy(p, m_b=1e200), 1e60, [])
     with pytest.raises(NonFiniteError, match="force must be finite, got inf"):
-        displacement_series(replace(p, m_a=1e300, m_b=1e300), 1.0, [])
+        displacement_series(validated_copy(p, m_a=1e300, m_b=1e300), 1.0, [])
     # A bad time is refused at its row, after the rows before it.
     rows = displacement_series(p, 1.0, [0.0, 1.0, -1.0])
     assert [row[0] for row in (next(rows), next(rows))] == [0.0, 1.0]

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from freeze_baselines import DATA, GOLDEN_COMMANDS
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "interferobounds"
 
 
@@ -46,13 +48,66 @@ def test_the_import_check_sees_imports_inside_functions(tmp_path):
 
 
 def test_only_the_self_validating_classes_import_dataclasses():
-    # ScenarioParams and GaussianState; the rest of the package is plain
-    # functions, NamedTuples and dicts.
+    # GaussianState; ScenarioParams is a plain class with hand-written
+    # dunders, and the rest of the package is plain functions, NamedTuples
+    # and dicts.
     users = sorted(
         path.stem for path in SRC.glob("*.py")
         if any(name == "dataclasses" for _, name in _absolute_imports(path))
     )
-    assert users == ["dynamics", "scenario"]
+    assert users == ["dynamics"]
+
+
+def _fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh `python -S` process that imports the package
+    from src/."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run(
+        [sys.executable, "-S", *flags, "-c", code, *args], env=env, capture_output=True, check=True
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_only_simulate_loads_dataclasses_and_dynamics(name):
+    # A bounds, causal or sweep process never needs either; simulate, whose
+    # GaussianState is still a dataclass, loads both, which shows the probes
+    # see them.  `python -X importtime` must name them too, since CI checks
+    # the installed package through that trace.
+    code = (
+        "import sys\n"
+        "from interferobounds.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print(*sorted(sys.modules), file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    argv = GOLDEN_COMMANDS[name]
+    proc = _fresh(code, *argv, flags=("-X", "importtime"))
+    assert proc.stdout == (DATA / "golden" / name).read_bytes()
+    *trace, modules = proc.stderr.decode().splitlines()
+    traced = {line.rsplit("|", 1)[1].strip() for line in trace if line.startswith("import time:")}
+    probed = {"dataclasses", "interferobounds.dynamics"}
+    expected = probed if argv[0] == "simulate" else set()
+    assert probed & set(modules.split()) == expected
+    assert probed & traced == expected
+
+
+def test_dynamics_resolves_as_a_package_attribute():
+    code = (
+        "import sys, interferobounds\n"
+        "print('interferobounds.dynamics' in sys.modules)\n"
+        "print(interferobounds.dynamics.orthogonalization_time.__module__)\n"
+        "print(hasattr(interferobounds, 'dynamic'))\n"
+        "try:\n"
+        "    interferobounds.dynamic\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert _fresh(code).stdout.decode().splitlines() == [
+        "False",
+        "interferobounds.dynamics",
+        "False",
+        "module 'interferobounds' has no attribute 'dynamic'",
+    ]
 
 
 def test_the_cli_loads_no_exact_arithmetic_and_no_numpy():
