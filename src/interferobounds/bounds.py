@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple
 
-from . import causal
 from .errors import GeometryError, InvalidInputError
 from .scenario import (_SWEPT_FIELDS, CouplingKind, ScenarioParams, _check_positive,
                        _invalid_time, replace_swept)
@@ -261,47 +260,38 @@ def r_max_phase(m_a: float, m_b: float, d: float) -> float:
 
 
 # The feasibility report, one row per field in output order:
-# (field, model, provenance, reads, value).  Rows of model None belong to
-# every report.  reads names the swept fields (m_a, m_b, d, r) the value
-# depends on, under gravity and under coulomb coupling, through the fields
-# it reads from v included; a report series evaluates a row again only
-# when it reads the swept field.  value(p, slack, v) may read the fields
-# before it from v, and calls the far-field bodies, which skip the
-# geometry gate.  In provenance, {src}, {prb} and {pair} stand for the
-# coupling's symbols.
+# (field, model, provenance, value).  Rows of model None belong to every
+# report.  value(p, slack, v) may read the fields before it from v, and
+# calls the far-field bodies, which skip the geometry gate.  It reads p
+# and v by plain attribute and key access, with no default: report_series
+# finds the rows that read a swept field by running them without it.  In
+# provenance, {src}, {prb} and {pair} stand for the coupling's symbols.
 _REPORT = (
     ("tb_displacement", "displacement", "sqrt(2*slack*dx_min*m_B*R^3/(K*d))",
-     ("m_a d r", "m_b d r"), lambda p, slack, v: _tb_displacement(p, slack)),
-    ("ta_min_round_trip", "displacement", "(16/27)*(K/m_B)*d", ("m_a d", "m_b d"),
+     lambda p, slack, v: _tb_displacement(p, slack)),
+    ("ta_min_round_trip", "displacement", "(16/27)*(K/m_B)*d",
      lambda p, slack, v: ta_min_round_trip(p.effective_source_mass, p.d)),
-    ("ta_min_one_way", "displacement", "(2/27)*(K/m_B)*d", ("m_a d", "m_b d"),
+    ("ta_min_one_way", "displacement", "(2/27)*(K/m_B)*d",
      lambda p, slack, v: ta_min_one_way(p.effective_source_mass, p.d)),
-    ("r_max_displacement", "displacement", "(K/m_B)*d/(2*slack)", ("m_a d", "m_b d"),
+    ("r_max_displacement", "displacement", "(K/m_B)*d/(2*slack)",
      lambda p, slack, v: r_max_displacement(p.effective_source_mass, p.d, slack)),
     ("displacement_backreaction_free", "displacement", "tb_displacement < R/c",
-     ("m_a d r", "m_b d r"),
-     lambda p, slack, v: causal.backreaction_free(v["tb_displacement"], p.r)),
-    ("tb_phase_exact", "phase", "pi*R*(R+d)/(K*d)", ("m_a m_b d r", "d r"),
-     lambda p, slack, v: _tb_phase(p, "exact")),
-    ("tb_phase_approx", "phase", "pi*R^2/(K*d)", ("m_a m_b d r", "d r"),
-     lambda p, slack, v: _tb_phase(p, "approx")),
-    ("r_max_phase", "phase", "K*d/pi", ("m_a m_b d", "d"),
+     lambda p, slack, v: v["tb_displacement"] < p.r),
+    ("tb_phase_exact", "phase", "pi*R*(R+d)/(K*d)", lambda p, slack, v: _tb_phase(p, "exact")),
+    ("tb_phase_approx", "phase", "pi*R^2/(K*d)", lambda p, slack, v: _tb_phase(p, "approx")),
+    ("r_max_phase", "phase", "K*d/pi",
      lambda p, slack, v: r_max_phase(p.source_strength, p.probe_strength, p.d)),
-    ("phase_backreaction_free", "phase", "R < K*d/pi", ("m_a m_b d r", "d r"),
+    ("phase_backreaction_free", "phase", "R < K*d/pi",
      lambda p, slack, v: p.r < v["r_max_phase"]),
-    ("geometry_valid", None, "R/d >= r_over_d_min", ("d r", "d r"),
-     lambda p, slack, v: p.geometry_valid),
-    ("source_planck_ratio", None, "{src}", ("m_a", ""),
-     lambda p, slack, v: p.source_strength),
-    ("probe_planck_ratio", None, "{prb}", ("m_b", ""),
-     lambda p, slack, v: p.probe_strength),
-    ("pair_planck_ratio", None, "{pair}", ("m_a m_b", ""),
-     lambda p, slack, v: p.pair_coupling),
-    ("source_exceeds_planck", None, "{src} >= r_over_d_min", ("m_a", ""),
+    ("geometry_valid", None, "R/d >= r_over_d_min", lambda p, slack, v: p.geometry_valid),
+    ("source_planck_ratio", None, "{src}", lambda p, slack, v: p.source_strength),
+    ("probe_planck_ratio", None, "{prb}", lambda p, slack, v: p.probe_strength),
+    ("pair_planck_ratio", None, "{pair}", lambda p, slack, v: p.pair_coupling),
+    ("source_exceeds_planck", None, "{src} >= r_over_d_min",
      lambda p, slack, v: v["source_planck_ratio"] >= p.r_over_d_min),
-    ("probe_exceeds_planck", None, "{prb} >= r_over_d_min", ("m_b", ""),
+    ("probe_exceeds_planck", None, "{prb} >= r_over_d_min",
      lambda p, slack, v: v["probe_planck_ratio"] >= p.r_over_d_min),
-    ("pair_exceeds_planck_sq", None, "{pair} >= r_over_d_min", ("m_a m_b", ""),
+    ("pair_exceeds_planck_sq", None, "{pair} >= r_over_d_min",
      lambda p, slack, v: v["pair_planck_ratio"] >= p.r_over_d_min),
 )
 _FIELDS = tuple(row[0] for row in _REPORT)
@@ -344,10 +334,6 @@ class BoundsReport(NamedTuple):
     def as_dict(self) -> dict:
         return dict(self.values)
 
-    @staticmethod
-    def field_order() -> tuple[str, ...]:
-        return _FIELDS
-
 
 def report_values(p: ScenarioParams, model: str = "both", slack: float = 1.0) -> dict:
     """Every report field of the requested model(s), in output order.
@@ -358,7 +344,7 @@ def report_values(p: ScenarioParams, model: str = "both", slack: float = 1.0) ->
     rows = _rows(model)
     _check_slack(slack)
     values: dict = {}
-    for name, _, _, _, value in rows:
+    for name, _, _, value in rows:
         values[name] = value(p, slack, values)
     return values
 
@@ -382,12 +368,18 @@ def report_series(
         raise InvalidInputError("a report series needs at least one value")
     q = replace_swept(p, name, first)
     v = report_values(q, model, slack)
-    column = list(CouplingKind).index(q.coupling)
-    varying = [(field, value) for field, _, _, reads, value in _rows(model)
-               if name in reads[column].split()]
-    constants = v.copy()
-    for field, _ in varying:
-        del constants[field]
+    # Each row once more, on a copy of q without name and given only the
+    # constant rows: one that reads name, directly, through a property or
+    # through a varying row, raises AttributeError or KeyError.  Every row
+    # ran at the first value, so it can raise nothing else.
+    blind = object.__new__(ScenarioParams)
+    object.__setattr__(blind, "__dict__", {f: x for f, x in q.__dict__.items() if f != name})
+    constants, varying = {}, []
+    for field, _, _, value in _rows(model):
+        try:
+            constants[field] = value(blind, slack, constants)
+        except (AttributeError, KeyError):
+            varying.append((field, value))
     return constants, _report_rows(q, slack, name, v, varying, values)
 
 
@@ -413,7 +405,7 @@ def report_provenance(coupling: CouplingKind, model: str = "both") -> dict:
     symbols = _SYMBOLS.get(coupling)
     if symbols is None:
         raise InvalidInputError(f"unknown coupling {coupling!r}")
-    return {name: provenance.format(**symbols) for name, _, provenance, _, _ in rows}
+    return {name: provenance.format(**symbols) for name, _, provenance, _ in rows}
 
 
 def feasibility_report(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NonFiniteError
 
 
 class CouplingKind(str, Enum):
@@ -21,10 +21,18 @@ class CouplingKind(str, Enum):
 
 
 def _check_positive(name: str, kind: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise InvalidInputError(f"non-finite {kind} {name} = {value!r}")
+    _check_finite(name, kind, value)
     if value <= 0.0:
         raise InvalidInputError(f"nonpositive {kind} {name} = {value!r}")
+
+
+def _check_finite(name: str, kind: str, value: float) -> None:
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the double range, too long to repr
+        raise NonFiniteError(f"{kind} {name} is an integer beyond the double range") from None
+    if not finite:
+        raise InvalidInputError(f"non-finite {kind} {name} = {value!r}")
 
 
 def _invalid_time(t: float) -> None:
@@ -88,8 +96,7 @@ class ScenarioParams:
             _check_positive("delta_x_min", "length", self.delta_x_min)
         for name, value in (("t_a", self.t_a), ("t_b", self.t_b)):
             if value is not None:
-                if not math.isfinite(value):
-                    raise InvalidInputError(f"non-finite time {name} = {value!r}")
+                _check_finite(name, "time", value)
                 if value < 0.0:
                     raise InvalidInputError(f"negative time {name} = {value!r}")
 

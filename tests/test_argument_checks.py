@@ -68,6 +68,13 @@ _CHECKS = {
     "t_a<0": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_a=-1.0),
     "t_b=inf": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_b=math.inf),
     "t_b<0": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_b=-1.0),
+    # An int beyond the double range is no double, and too long for its repr.
+    "ScenarioParams m_a=10**400": lambda: ScenarioParams(m_a=10**400, d=1.0, r=1.0),
+    "ScenarioParams t_a=10**400": lambda: ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_a=10**400),
+    "replace_swept r=10**400": lambda: replace_swept(_P, "r", 10**400),
+    "report_series r=-10**400": lambda: list(
+        bounds.report_series(_P, "both", 1.0, "r", [1e6, -10**400])[1]),
+    "ta_min_round_trip m_a=-10**400": lambda: bounds.ta_min_round_trip(-10**400, 1.0),
     "non-real Quantity": lambda: to_planck("1.0", "length"),
     "bool Quantity": lambda: to_planck(True, "mass"),
     "to_planck unknown kind": lambda: to_planck(1.0, "speed"),

@@ -5,7 +5,6 @@ import pytest
 
 from interferobounds import bounds, causal
 from interferobounds.bounds import (
-    BoundsReport,
     differential_force,
     displacement_shift,
     eta_row,
@@ -605,12 +604,6 @@ def test_report_provenance_names_an_unknown_coupling():
         assert report_provenance("coulomb", model) == report_provenance(CouplingKind.COULOMB, model)
 
 
-def test_report_field_order_covers_all_fields():
-    p = ScenarioParams(m_a=1e6, d=1e6, r=1e8)
-    rep = feasibility_report(p)
-    assert set(rep.as_dict()) == set(BoundsReport.field_order())
-
-
 @pytest.mark.parametrize("slack", [1.0, 2.5])
 def test_report_fields_equal_their_public_functions(slack):
     rng = np.random.default_rng(43)
@@ -671,7 +664,7 @@ def _row_outcomes(p, slack):
     """Each report row's value, or the type and message of what it raises,
     with every row before it evaluated the same way."""
     values, outcomes = {}, {}
-    for field, _, _, _, value in bounds._REPORT:
+    for field, _, _, value in bounds._REPORT:
         try:
             values[field] = value(p, slack, values)
             outcomes[field] = (type(values[field]), repr(values[field]))
@@ -695,21 +688,28 @@ def _perturbation_draw(rng, coulomb):
 
 @pytest.mark.parametrize("coulomb", [False, True])
 @pytest.mark.parametrize("name", ["m_a", "m_b", "d", "r"])
-def test_report_rows_read_only_the_fields_they_declare(name, coulomb):
-    # A row that does not declare name must give the same bits, or raise
-    # the same error, whatever the value of name: report_series takes it
-    # from the first point of a series.
+def test_report_series_constants_hold_at_every_value_of_the_swept_field(name, coulomb):
+    # Each field report_series finds constant must give the same bits, or
+    # raise the same error, whatever the value of name: a read it cannot
+    # see would print a stale value.
     rng = np.random.default_rng(4701 + 2 * ["m_a", "m_b", "d", "r"].index(name) + coulomb)
-    column = 1 if coulomb else 0
-    undeclared = [row[0] for row in bounds._REPORT if name not in row[3][column].split()]
+    set_up = 0
     for _ in range(300):
         p, slack = _perturbation_draw(rng, coulomb)
-        base = _row_outcomes(p, slack)
+        series = []
+        for model in ("displacement", "phase", "both"):
+            try:
+                series.append(report_series(p, model, slack, name, [getattr(p, name)])[0])
+            except (ArithmeticError, InvalidInputError):
+                pass  # the first value fails: the series prints no constant
+        set_up += len(series)
         for _ in range(3):
             lo, hi = rng.choice(((-300.0, 300.0), (-2.0, 12.0)))
             moved = _row_outcomes(replace_swept(p, name, float(10.0 ** rng.uniform(lo, hi))), slack)
-            for field in undeclared:
-                assert moved[field] == base[field], (field, p, slack)
+            for constants in series:
+                for field, x in constants.items():
+                    assert moved[field] == (type(x), repr(x)), (field, p, slack)
+    assert set_up >= 300
 
 
 def _varying(coupling, model, name):
@@ -720,20 +720,37 @@ def _varying(coupling, model, name):
     return [field for field in report_values(ScenarioParams(**kw), model) if field not in constants]
 
 
-def test_report_series_evaluates_only_the_rows_that_read_the_swept_field():
-    gravity, coulomb = CouplingKind.GRAVITY, CouplingKind.COULOMB
-    assert _varying(gravity, "both", "r") == [
+_DISPLACEMENT = ["tb_displacement", "ta_min_round_trip", "ta_min_one_way", "r_max_displacement",
+                 "displacement_backreaction_free"]
+_PHASE = ["tb_phase_exact", "tb_phase_approx", "r_max_phase", "phase_backreaction_free"]
+# The rows of a "both" report that read each swept field, by coupling.
+_READERS = {
+    ("m_a", CouplingKind.GRAVITY): [
+        *_DISPLACEMENT, *_PHASE, "source_planck_ratio", "pair_planck_ratio",
+        "source_exceeds_planck", "pair_exceeds_planck_sq"],
+    ("m_a", CouplingKind.COULOMB): [],
+    # Gravity's K/m_B is m_a: no displacement row reads m_b.
+    ("m_b", CouplingKind.GRAVITY): [
+        *_PHASE, "probe_planck_ratio", "pair_planck_ratio", "probe_exceeds_planck",
+        "pair_exceeds_planck_sq"],
+    ("m_b", CouplingKind.COULOMB): _DISPLACEMENT,
+    ("d", CouplingKind.GRAVITY): [*_DISPLACEMENT, *_PHASE, "geometry_valid"],
+    ("d", CouplingKind.COULOMB): [*_DISPLACEMENT, *_PHASE, "geometry_valid"],
+    ("r", CouplingKind.GRAVITY): [
         "tb_displacement", "displacement_backreaction_free", "tb_phase_exact",
-        "tb_phase_approx", "phase_backreaction_free", "geometry_valid"]
-    assert _varying(coulomb, "both", "m_a") == []
-    # Gravity's K/m_B is m_a: of a displacement report, only the Planck
-    # ratios and their flags read m_b.
-    assert _varying(gravity, "displacement", "m_b") == [
-        "probe_planck_ratio", "pair_planck_ratio", "probe_exceeds_planck",
-        "pair_exceeds_planck_sq"]
-    assert len(_varying(gravity, "both", "m_b")) == 8
-    assert len(_varying(coulomb, "both", "d")) == 10
-    assert len(_varying(coulomb, "phase", "m_b")) == 0
+        "tb_phase_approx", "phase_backreaction_free", "geometry_valid"],
+    ("r", CouplingKind.COULOMB): [
+        "tb_displacement", "displacement_backreaction_free", "tb_phase_exact",
+        "tb_phase_approx", "phase_backreaction_free", "geometry_valid"],
+}
+
+
+def test_report_series_evaluates_only_the_rows_that_read_the_swept_field():
+    for (name, coupling), readers in _READERS.items():
+        for model in ("displacement", "phase", "both"):
+            fields = report_provenance(coupling, model)
+            expected = [field for field in readers if field in fields]
+            assert _varying(coupling, model, name) == expected, (name, coupling, model)
 
 
 def _outcome(fn, *args):
