@@ -14,11 +14,13 @@ dependence so the dropped O(d/r) factors can be audited.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple
+import sys
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .errors import GeometryError, InvalidInputError
 from .scenario import (_SWEPT_FIELDS, CouplingKind, ScenarioParams, _check_positive,
-                       _invalid_time, replace_swept)
+                       _invalid_time, _name_huge_int, replace_swept)
 
 _MODES = ("approx", "exact")
 
@@ -50,7 +52,11 @@ def ta_tb_min_round_trip(r: float) -> float:
     """Round-trip floor on T_A + T_B: 2R/c, twice the one-way bound."""
     if not r > 0.0:
         _check_positive("r", "length", r)
-    return 2.0 * r
+    try:
+        return 2.0 * r
+    except OverflowError:
+        _name_huge_int(r=r)
+        raise
 
 
 def _check_slack(slack: float) -> None:
@@ -87,7 +93,11 @@ def displacement_shift(delta_f: float, m_b: float, t: float) -> float:
         _invalid_time(t)
     if delta_f < 0.0 or not math.isfinite(delta_f):
         raise InvalidInputError(f"force must be finite and nonnegative, got {delta_f!r}")
-    return delta_f * t * t / (2.0 * m_b)
+    try:
+        return delta_f * t * t / (2.0 * m_b)
+    except OverflowError:
+        _name_huge_int(m_b=m_b)
+        raise
 
 
 def tb_displacement(p: ScenarioParams, slack: float = 1.0) -> float:
@@ -149,6 +159,7 @@ def eta_series(
         _check_positive("m_a", "mass", m_a)
     if not d > 0.0:
         _check_positive("d", "length", d)
+    _name_huge_int(m_a=m_a, d=d)
     return _eta_rows(m_a, d, etas)
 
 
@@ -173,7 +184,11 @@ def ta_min_round_trip(m_a: float, d: float) -> float:
         _check_positive("m_a", "mass", m_a)
     if not d > 0.0:
         _check_positive("d", "length", d)
-    return _TA_COEFFICIENT * m_a * d
+    try:
+        return _TA_COEFFICIENT * m_a * d
+    except OverflowError:
+        _name_huge_int(m_a=m_a, d=d)
+        raise
 
 
 def ta_min_one_way(m_a: float, d: float) -> float:
@@ -195,7 +210,11 @@ def r_max_displacement(m_a: float, d: float, slack: float = 1.0) -> float:
     if not d > 0.0:
         _check_positive("d", "length", d)
     _check_slack(slack)
-    return m_a * d / (2.0 * slack)
+    try:
+        return m_a * d / (2.0 * slack)
+    except OverflowError:
+        _name_huge_int(m_a=m_a, d=d)
+        raise
 
 
 def phase_difference(p: ScenarioParams, t: float, mode: str = "exact") -> float:
@@ -252,7 +271,11 @@ def r_max_phase(m_a: float, m_b: float, d: float) -> float:
         _check_positive("m_b", "mass", m_b)
     if not d > 0.0:
         _check_positive("d", "length", d)
-    r = m_a * m_b * d / math.pi
+    try:
+        r = m_a * m_b * d / math.pi
+    except OverflowError:
+        _name_huge_int(m_a=m_a, m_b=m_b, d=d)
+        raise
     # Every factor is positive, so a zero means an intermediate step underflowed.
     if r == 0.0:
         raise ArithmeticError("an intermediate step of r_max_phase underflowed to zero")
@@ -313,7 +336,7 @@ def _rows(model: str) -> tuple:
     return _ROWS[model]
 
 
-class BoundsReport(NamedTuple):
+class BoundsReport(namedtuple("BoundsReport", "values provenance")):
     """All bounds for one scenario, with per-field formula provenance.
 
     Every report field reads as an attribute.  Times in t_P, lengths in
@@ -323,8 +346,7 @@ class BoundsReport(NamedTuple):
     for '>>'.
     """
 
-    values: dict
-    provenance: dict
+    __slots__ = ()
 
     def __getattr__(self, name: str):
         if name in _FIELDS:
@@ -386,10 +408,11 @@ def report_series(
 def _report_rows(q, slack, name, v, varying, values):
     # q is this series' own copy, never handed out: each point writes the
     # swept value into it, and into v the rows that read it.
-    kind, fields, inf = _SWEPT_FIELDS[name], q.__dict__, math.inf
+    # An int beyond the double range exceeds the largest double, as +inf does.
+    kind, fields, top = _SWEPT_FIELDS[name], q.__dict__, sys.float_info.max
     yield (fields[name], *[v[field] for field, _ in varying])
     for value in values:
-        if not 0.0 < value < inf:
+        if not 0.0 < value <= top:
             _check_positive(name, kind, value)
         fields[name] = value
         row = [value]

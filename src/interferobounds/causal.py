@@ -6,16 +6,13 @@ l_P).  The interferometer side sits at x = 0, the probe side at x = r.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InvalidInputError
 from .scenario import ScenarioParams, _check_positive
 
 
-class Event(NamedTuple):
-    t: float
-    x: float
-    label: str = ""
+Event = namedtuple("Event", "t x label", defaults=("",))
 
 
 def causally_precedes(e1: Event, e2: Event) -> bool:
@@ -23,20 +20,11 @@ def causally_precedes(e1: Event, e2: Event) -> bool:
     return e2.t - e1.t >= abs(e2.x - e1.x)
 
 
-class Timeline(NamedTuple):
-    """The five events of one run, in canonical order."""
+Timeline = namedtuple(
+    "Timeline", "a_create b_decide b_measure_done a_signal_arrival a_recombine_done")
+Timeline.__doc__ = """The five events of one run, in canonical order."""
 
-    a_create: Event
-    b_decide: Event
-    b_measure_done: Event
-    a_signal_arrival: Event
-    a_recombine_done: Event
-
-
-class CausalVerdict(NamedTuple):
-    no_signalling_ok: bool
-    margin: float
-    explanation: str
+CausalVerdict = namedtuple("CausalVerdict", "no_signalling_ok margin explanation")
 
 
 def build_timeline(p: ScenarioParams) -> Timeline:

@@ -138,9 +138,12 @@ def _emit(args, text: str) -> None:
                 fh.write(data)
         elif sys.stdout is None:  # fd 1 was closed when Python started
             raise OSError("stdout is closed")
-        else:
+        elif hasattr(sys.stdout, "buffer"):
             sys.stdout.buffer.write(data)
             sys.stdout.buffer.flush()
+        else:  # a text stream without a binary buffer, such as io.StringIO
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
         target = f"--out {out!r}" if out else "stdout"
         raise InvalidInputError(f"cannot write {target}: {exc.strerror or exc}") from None

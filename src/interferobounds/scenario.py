@@ -35,6 +35,15 @@ def _check_finite(name: str, kind: str, value: float) -> None:
         raise InvalidInputError(f"non-finite {kind} {name} = {value!r}")
 
 
+def _name_huge_int(**values: float) -> None:
+    # Float arithmetic on positive-checked swept-field arguments raised
+    # OverflowError: one of them is an int beyond the double range, which
+    # gets the error _check_finite gives.  The caller re-raises otherwise.
+    for name, value in values.items():
+        if isinstance(value, int):
+            _check_finite(name, _SWEPT_FIELDS[name], value)
+
+
 def _invalid_time(t: float) -> None:
     raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
 

@@ -9,7 +9,7 @@ import math
 import pytest
 
 from interferobounds import bounds, causal, dynamics
-from interferobounds.errors import InvalidInputError
+from interferobounds.errors import InvalidInputError, NonFiniteError
 from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
 from interferobounds.units import from_planck, to_planck
 
@@ -75,6 +75,17 @@ _CHECKS = {
     "report_series r=-10**400": lambda: list(
         bounds.report_series(_P, "both", 1.0, "r", [1e6, -10**400])[1]),
     "ta_min_round_trip m_a=-10**400": lambda: bounds.ta_min_round_trip(-10**400, 1.0),
+    "ta_min_round_trip m_a=10**400": lambda: bounds.ta_min_round_trip(10**400, 1.0),
+    "ta_min_one_way d=10**400": lambda: bounds.ta_min_one_way(1.0, 10**400),
+    "r_max_displacement m_a=10**400": lambda: bounds.r_max_displacement(10**400, 1.0),
+    "r_max_phase m_a=10**400": lambda: bounds.r_max_phase(10**400, 1.0, 1.0),
+    "ta_tb_min_round_trip r=10**400": lambda: bounds.ta_tb_min_round_trip(10**400),
+    "displacement_shift m_b=10**400": lambda: bounds.displacement_shift(1.0, 10**400, 1.0),
+    "eta_series m_a=10**400": lambda: list(bounds.eta_series(10**400, 1.0, [0.5])),
+    "report_series r=10**400": lambda: list(
+        bounds.report_series(_P, "both", 1.0, "r", [1e9, 10**400])[1]),
+    "report_series m_a=10**400": lambda: list(
+        bounds.report_series(_P, "both", 1.0, "m_a", [1e9, 10**400])[1]),
     "non-real Quantity": lambda: to_planck("1.0", "length"),
     "bool Quantity": lambda: to_planck(True, "mass"),
     "to_planck unknown kind": lambda: to_planck(1.0, "speed"),
@@ -86,6 +97,12 @@ _CHECKS = {
 def test_argument_check_raises_invalid_input(call):
     with pytest.raises(InvalidInputError):
         call()
+
+
+@pytest.mark.parametrize("name", [name for name in _CHECKS if name.endswith("=10**400")])
+def test_an_integer_beyond_the_double_range_is_named_as_replace_swept_names_it(name):
+    with pytest.raises(NonFiniteError, match=r"^\w+ \w+ is an integer beyond the double range$"):
+        _CHECKS[name]()
 
 
 # Calls whose one argument named by the ScenarioParams field is v.

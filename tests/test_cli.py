@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -187,6 +189,39 @@ def test_a_full_stdout_is_invalid_input_on_stderr(argv, message):
     assert b"Traceback" not in proc.stderr
     assert b"Exception ignored" not in proc.stderr
     assert json.loads(proc.stderr) == {"error": {"code": "invalid-input", "message": message}}
+
+
+def _status(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # --help and --version
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        GOLDEN_COMMANDS["causal_mixed.json"],
+        GOLDEN_COMMANDS["sweep_r_log.csv"],
+        ["causal", "--t-a", "1tp", "--t-b", "1tp", "--r", "1lp"],
+        ["bounds", "--m-a", "-1mp", "--d", "1e6lp", "--r", "1e8lp"],
+        ["bounds", "--m-a", "1e300mp", "--d", "1e300lp", "--r", "1e302lp", "--model", "phase"],
+        ["bounds"],
+        ["--version"],
+    ],
+    ids=["json", "csv", "causal", "error", "out-of-range", "usage", "version"],
+)
+def test_a_text_only_stdout_takes_the_same_text(argv, capsysbinary):
+    # io.StringIO has no binary buffer: it gets as text the bytes a real
+    # stdout gets, with the same exit status.
+    status = _status(argv)
+    expected = capsysbinary.readouterr().out
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert _status(argv) == status
+    assert text.getvalue().encode() == expected
+    if argv == GOLDEN_COMMANDS["causal_mixed.json"]:
+        assert expected == (GOLDEN / "causal_mixed.json").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
-"""The plain result records: read by name, immutable, equal by value, and
-printed as Name(field=value, ...)."""
+"""The plain result records: read by name, immutable, equal by value,
+picklable, and printed as Name(field=value, ...)."""
+
+import math
+import pickle
 
 import pytest
 
@@ -18,6 +21,7 @@ _RECORDS = {
     "BranchPair": lambda: dynamics.displacement_branches(_P, 1.0, 1e6),
     "PhaseBranchPair": lambda: dynamics.phase_evolution(_P, 1e6),
     "BoundsReport": lambda: bounds.feasibility_report(_P),
+    "GaussianState": lambda: dynamics.GaussianState(1.0, 0.0, ((1.0, 0.0), (0.0, 0.25)), 0.5),
 }
 
 
@@ -29,6 +33,11 @@ def test_record_is_a_plain_immutable_value(make):
     assert record == values == type(record)(*values)
     with pytest.raises(AttributeError):
         setattr(record, fields[0], values[0])
+    with pytest.raises(AttributeError):  # no instance __dict__
+        record.extra = 1.0
+    assert not hasattr(record, "__dict__")
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is type(record) and copy == record
     shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
     assert repr(record) == f"{type(record).__name__}({shown})"
 
@@ -40,6 +49,18 @@ def test_record_defaults_and_derived_fields():
     timeline = causal.build_timeline(_P)
     assert list(timeline) == [getattr(timeline, name) for name in causal.Timeline._fields]
     assert len(timeline) == 5
+
+
+def test_gaussian_state_validates_every_construction():
+    state = dynamics.ground_state(0.5, 1.0)
+    assert state.phase == 0.0 and state.sigma_x == 1.0
+    assert dynamics.GaussianState(0.0, 0.0, [[1, 0], [0, 0.25]]).cov == ((1.0, 0.0), (0.0, 0.25))
+    assert state == dynamics.GaussianState(0.0, 0.0, state.cov)
+    assert hash(state) == hash((0.0, 0.0, state.cov, 0.0))
+    with pytest.raises(InvalidInputError, match="uncertainty floor"):
+        state._replace(cov=((0.1, 0.0), (0.0, 0.1)))
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        dynamics.GaussianState._make((math.nan, 0.0, state.cov, 0.0))
 
 
 # ScenarioParams is validated on construction, frozen, equal by value within

@@ -48,14 +48,15 @@ def test_the_import_check_sees_imports_inside_functions(tmp_path):
 
 
 def test_only_the_self_validating_classes_import_dataclasses():
-    # GaussianState; ScenarioParams is a plain class with hand-written
-    # dunders, and the rest of the package is plain functions, NamedTuples
-    # and dicts.
+    # None does: the self-validating classes, ScenarioParams and
+    # GaussianState, check their fields in their own constructors, every
+    # result record is a collections.namedtuple, and the rest of the package
+    # is plain functions and dicts.  Nor does any module import typing.
     users = sorted(
-        path.stem for path in SRC.glob("*.py")
-        if any(name == "dataclasses" for _, name in _absolute_imports(path))
+        f"{path.stem}: {name}" for path in SRC.glob("*.py") for _, name in _absolute_imports(path)
+        if name.split(".")[0] in ("typing", "dataclasses")
     )
-    assert users == ["dynamics"]
+    assert users == []
 
 
 def _fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
@@ -69,10 +70,10 @@ def _fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.Com
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_only_simulate_loads_dataclasses_and_dynamics(name):
-    # A bounds, causal or sweep process never needs either; simulate, whose
-    # GaussianState is still a dataclass, loads both, which shows the probes
-    # see them.  `python -X importtime` must name them too, since CI checks
-    # the installed package through that trace.
+    # Only simulate loads dynamics, which shows the probes see a loaded
+    # module; no process loads dataclasses, the inspect it pulls in, or
+    # typing.  `python -X importtime` must agree, since CI checks the
+    # installed package through that trace.
     code = (
         "import sys\n"
         "from interferobounds.cli import main\n"
@@ -85,8 +86,8 @@ def test_only_simulate_loads_dataclasses_and_dynamics(name):
     assert proc.stdout == (DATA / "golden" / name).read_bytes()
     *trace, modules = proc.stderr.decode().splitlines()
     traced = {line.rsplit("|", 1)[1].strip() for line in trace if line.startswith("import time:")}
-    probed = {"dataclasses", "interferobounds.dynamics"}
-    expected = probed if argv[0] == "simulate" else set()
+    probed = {"typing", "dataclasses", "inspect", "interferobounds.dynamics"}
+    expected = {"interferobounds.dynamics"} if argv[0] == "simulate" else set()
     assert probed & set(modules.split()) == expected
     assert probed & traced == expected
 
