@@ -19,8 +19,9 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 from .errors import GeometryError, InvalidInputError
-from .scenario import (_SWEPT_FIELDS, CouplingKind, ScenarioParams, _check_positive,
-                       _invalid_time, _name_huge_int, replace_swept)
+from .scenario import (_SWEPT_FIELDS, CouplingKind, ScenarioParams, _as_float,
+                       _check_positive, _nonnegative, _positive, replace_swept)
+from .units import _show
 
 _MODES = ("approx", "exact")
 
@@ -43,25 +44,18 @@ def _geometry_gate(p: ScenarioParams) -> None:
 
 def ta_tb_min_one_way(r: float) -> float:
     """Single light-crossing floor on T_A + T_B: R/c."""
-    if not r > 0.0:
-        _check_positive("r", "length", r)
-    return r
+    return _positive("r", "length", r)
 
 
 def ta_tb_min_round_trip(r: float) -> float:
     """Round-trip floor on T_A + T_B: 2R/c, twice the one-way bound."""
-    if not r > 0.0:
-        _check_positive("r", "length", r)
-    try:
-        return 2.0 * r
-    except OverflowError:
-        _name_huge_int(r=r)
-        raise
+    return 2.0 * _positive("r", "length", r)
 
 
-def _check_slack(slack: float) -> None:
+def _check_slack(slack: float) -> float:
     if not 0.0 < slack < math.inf:
-        raise InvalidInputError(f"slack must be finite and positive, got {slack!r}")
+        raise InvalidInputError(f"slack must be finite and positive, got {_show(slack)}")
+    return _as_float("slack", "multiplier", slack)
 
 
 def differential_force(p: ScenarioParams, mode: str = "approx") -> float:
@@ -87,17 +81,10 @@ def _differential_force(p: ScenarioParams, mode: str) -> float:
 def displacement_shift(delta_f: float, m_b: float, t: float) -> float:
     """Position shift delta_f*t^2/(2*m_b) accumulated under a constant
     differential force."""
-    if not m_b > 0.0:
-        _check_positive("m_b", "mass", m_b)
-    if t < 0.0 or not math.isfinite(t):
-        _invalid_time(t)
-    if delta_f < 0.0 or not math.isfinite(delta_f):
-        raise InvalidInputError(f"force must be finite and nonnegative, got {delta_f!r}")
-    try:
-        return delta_f * t * t / (2.0 * m_b)
-    except OverflowError:
-        _name_huge_int(m_b=m_b)
-        raise
+    m_b = _positive("m_b", "mass", m_b)
+    t = _nonnegative("t", "time", t)
+    delta_f = _nonnegative("delta_f", "force", delta_f)
+    return delta_f * t * t / (2.0 * m_b)
 
 
 def tb_displacement(p: ScenarioParams, slack: float = 1.0) -> float:
@@ -107,7 +94,7 @@ def tb_displacement(p: ScenarioParams, slack: float = 1.0) -> float:
     slack scales the shift target (slack*dx_min); 1.0 is the minimal
     physically possible measurement time.
     """
-    _check_slack(slack)
+    slack = _check_slack(slack)
     _geometry_gate(p)
     return _tb_displacement(p, slack)
 
@@ -155,18 +142,13 @@ def eta_series(
     """Rows (eta, *the ETA_COLUMNS values) at each fraction eta in etas;
     the eta family's one evaluation.  m_a and d are checked once, before
     the first row; each eta must lie in the open interval (0, 1)."""
-    if not m_a > 0.0:
-        _check_positive("m_a", "mass", m_a)
-    if not d > 0.0:
-        _check_positive("d", "length", d)
-    _name_huge_int(m_a=m_a, d=d)
-    return _eta_rows(m_a, d, etas)
+    return _eta_rows(_positive("m_a", "mass", m_a), _positive("d", "length", d), etas)
 
 
 def _eta_rows(m_a, d, etas):
     for eta in etas:
         if not 0.0 < eta < 1.0:
-            raise InvalidInputError(f"eta must lie in the open interval (0, 1), got {eta!r}")
+            raise InvalidInputError(f"eta must lie in the open interval (0, 1), got {_show(eta)}")
         # eta^2*(1 - eta), not eta^2 - eta^3, which cancels as eta -> 1; the
         # total is the exact sum, not the sum of the two rounded columns.
         yield (eta, 4.0 * eta ** 3 * m_a * d, 4.0 * eta * eta * (1.0 - eta) * m_a * d,
@@ -180,15 +162,11 @@ def eta_row(eta: float, m_a: float, d: float) -> tuple[float, float, float, floa
 
 def ta_min_round_trip(m_a: float, d: float) -> float:
     """Strongest interferometer time floor: (16/27)*m_a*d."""
-    if not m_a > 0.0:
-        _check_positive("m_a", "mass", m_a)
-    if not d > 0.0:
-        _check_positive("d", "length", d)
-    try:
-        return _TA_COEFFICIENT * m_a * d
-    except OverflowError:
-        _name_huge_int(m_a=m_a, d=d)
-        raise
+    return _ta_min_round_trip(_positive("m_a", "mass", m_a), _positive("d", "length", d))
+
+
+def _ta_min_round_trip(m_a: float, d: float) -> float:
+    return _TA_COEFFICIENT * m_a * d
 
 
 def ta_min_one_way(m_a: float, d: float) -> float:
@@ -205,16 +183,12 @@ def r_max_displacement(m_a: float, d: float, slack: float = 1.0) -> float:
     dx_min is left out, so this matches displacement_backreaction_free
     only for dx_min = 1 l_P.
     """
-    if not m_a > 0.0:
-        _check_positive("m_a", "mass", m_a)
-    if not d > 0.0:
-        _check_positive("d", "length", d)
-    _check_slack(slack)
-    try:
-        return m_a * d / (2.0 * slack)
-    except OverflowError:
-        _name_huge_int(m_a=m_a, d=d)
-        raise
+    return _r_max_displacement(
+        _positive("m_a", "mass", m_a), _positive("d", "length", d), _check_slack(slack))
+
+
+def _r_max_displacement(m_a: float, d: float, slack: float) -> float:
+    return m_a * d / (2.0 * slack)
 
 
 def phase_difference(p: ScenarioParams, t: float, mode: str = "exact") -> float:
@@ -224,8 +198,7 @@ def phase_difference(p: ScenarioParams, t: float, mode: str = "exact") -> float:
     """
     _check_mode(mode)
     _geometry_gate(p)
-    if t < 0.0 or not math.isfinite(t):
-        _invalid_time(t)
+    t = _nonnegative("t", "time", t)
     return _phase(p.pair_coupling, p.d, _phase_divisor(p, mode), t)
 
 
@@ -265,17 +238,12 @@ def _tb_phase(p: ScenarioParams, mode: str) -> float:
 def r_max_phase(m_a: float, m_b: float, d: float) -> float:
     """Largest separation for a back-reaction-free phase measurement:
     m_a*m_b*d/pi."""
-    if not m_a > 0.0:
-        _check_positive("m_a", "mass", m_a)
-    if not m_b > 0.0:
-        _check_positive("m_b", "mass", m_b)
-    if not d > 0.0:
-        _check_positive("d", "length", d)
-    try:
-        r = m_a * m_b * d / math.pi
-    except OverflowError:
-        _name_huge_int(m_a=m_a, m_b=m_b, d=d)
-        raise
+    return _r_max_phase(
+        _positive("m_a", "mass", m_a), _positive("m_b", "mass", m_b), _positive("d", "length", d))
+
+
+def _r_max_phase(m_a: float, m_b: float, d: float) -> float:
+    r = m_a * m_b * d / math.pi
     # Every factor is positive, so a zero means an intermediate step underflowed.
     if r == 0.0:
         raise ArithmeticError("an intermediate step of r_max_phase underflowed to zero")
@@ -285,25 +253,26 @@ def r_max_phase(m_a: float, m_b: float, d: float) -> float:
 # The feasibility report, one row per field in output order:
 # (field, model, provenance, value).  Rows of model None belong to every
 # report.  value(p, slack, v) may read the fields before it from v, and
-# calls the far-field bodies, which skip the geometry gate.  It reads p
-# and v by plain attribute and key access, with no default: report_series
-# finds the rows that read a swept field by running them without it.  In
-# provenance, {src}, {prb} and {pair} stand for the coupling's symbols.
+# calls the bodies, which skip the geometry gate and the argument checks
+# that p's fields passed when p was built.  It reads p and v by plain
+# attribute and key access, with no default: report_series finds the rows
+# that read a swept field by running them without it.  In provenance,
+# {src}, {prb} and {pair} stand for the coupling's symbols.
 _REPORT = (
     ("tb_displacement", "displacement", "sqrt(2*slack*dx_min*m_B*R^3/(K*d))",
      lambda p, slack, v: _tb_displacement(p, slack)),
     ("ta_min_round_trip", "displacement", "(16/27)*(K/m_B)*d",
-     lambda p, slack, v: ta_min_round_trip(p.effective_source_mass, p.d)),
+     lambda p, slack, v: _ta_min_round_trip(p.effective_source_mass, p.d)),
     ("ta_min_one_way", "displacement", "(2/27)*(K/m_B)*d",
-     lambda p, slack, v: ta_min_one_way(p.effective_source_mass, p.d)),
+     lambda p, slack, v: v["ta_min_round_trip"] / 8.0),
     ("r_max_displacement", "displacement", "(K/m_B)*d/(2*slack)",
-     lambda p, slack, v: r_max_displacement(p.effective_source_mass, p.d, slack)),
+     lambda p, slack, v: _r_max_displacement(p.effective_source_mass, p.d, slack)),
     ("displacement_backreaction_free", "displacement", "tb_displacement < R/c",
      lambda p, slack, v: v["tb_displacement"] < p.r),
     ("tb_phase_exact", "phase", "pi*R*(R+d)/(K*d)", lambda p, slack, v: _tb_phase(p, "exact")),
     ("tb_phase_approx", "phase", "pi*R^2/(K*d)", lambda p, slack, v: _tb_phase(p, "approx")),
     ("r_max_phase", "phase", "K*d/pi",
-     lambda p, slack, v: r_max_phase(p.source_strength, p.probe_strength, p.d)),
+     lambda p, slack, v: _r_max_phase(p.source_strength, p.probe_strength, p.d)),
     ("phase_backreaction_free", "phase", "R < K*d/pi",
      lambda p, slack, v: p.r < v["r_max_phase"]),
     ("geometry_valid", None, "R/d >= r_over_d_min", lambda p, slack, v: p.geometry_valid),
@@ -364,7 +333,7 @@ def report_values(p: ScenarioParams, model: str = "both", slack: float = 1.0) ->
     geometry_valid field carries that information instead of an error.
     """
     rows = _rows(model)
-    _check_slack(slack)
+    slack = _check_slack(slack)
     values: dict = {}
     for name, _, _, value in rows:
         values[name] = value(p, slack, values)

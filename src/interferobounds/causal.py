@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InvalidInputError
-from .scenario import ScenarioParams, _check_positive
+from .scenario import ScenarioParams, _nonnegative, _positive
 
 
 Event = namedtuple("Event", "t x label", defaults=("",))
@@ -62,16 +62,14 @@ def check_no_signalling(p: ScenarioParams, strict: bool = True) -> CausalVerdict
 
 def meets_one_way_bound(t_a: float, t_b: float, r: float, strict: bool = True) -> bool:
     """Weaker single light-crossing criterion: T_A + T_B vs R/c."""
-    if not r > 0.0:
-        _check_positive("r", "length", r)
-    total = t_a + t_b
+    r = _positive("r", "length", r)
+    total = _nonnegative("t_a", "time", t_a) + _nonnegative("t_b", "time", t_b)
     return total > r if strict else total >= r
 
 
 def backreaction_free(t_b: float, r: float) -> bool:
     """True iff the probe finishes before its own field disturbance could
     return: T_B < R/c, strictly."""
-    if not r > 0.0:
-        _check_positive("r", "length", r)
-    return t_b < r
+    r = _positive("r", "length", r)
+    return _nonnegative("t_b", "time", t_b) < r
 

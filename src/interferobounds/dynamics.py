@@ -25,7 +25,7 @@ from collections.abc import Iterable, Iterator
 
 from . import bounds
 from .errors import ConvergenceError, InvalidInputError, NonFiniteError
-from .scenario import ScenarioParams, _check_positive, _invalid_time
+from .scenario import ScenarioParams, _check_positive, _nonnegative
 
 # Relative tolerance on det(cov) = 1/4 when a pure-state wavefunction is needed.
 _PURITY_RTOL = 1e-6
@@ -163,7 +163,7 @@ def evolve_constant_force(
     Gaussian); the phase advances by the classical action of the mean path.
     """
     if t < 0.0 or not math.isfinite(t):
-        _invalid_time(t)
+        _nonnegative("t", "time", t)
     if not m > 0.0:
         _check_positive("m", "mass", m)
     _check_force(force)
@@ -316,7 +316,7 @@ def _displacement_rows(times, m, sigma0, sxx, spp, half_left, half_right, d_forc
     exp, sqrt, inf = math.exp, math.sqrt, math.inf
     for t in times:
         if not 0.0 <= t < inf:
-            _invalid_time(t)
+            _nonnegative("t", "time", t)
         tau = t / m
         # The exponent is -(x1^2 + x2^2)/2.  dF*t is formed first: a zero
         # factor then gives 0, never inf*0.
@@ -370,6 +370,7 @@ conditional-state overlap |cos(dphi/2)|."""
 def phase_evolution(p: ScenarioParams, t: float) -> PhaseBranchPair:
     """Interferometric probe record after time t, using the exact
     differential phase."""
+    t = _nonnegative("t", "time", t)
     _, delta_phi, magnitude = next(phase_series(p, (t,)))
     return PhaseBranchPair(delta_phi, magnitude)
 
@@ -389,7 +390,7 @@ def _phase_rows(times, k, d, divisor):
     phase, cos, inf = bounds._phase, math.cos, math.inf
     for t in times:
         if not 0.0 <= t < inf:
-            _invalid_time(t)
+            _nonnegative("t", "time", t)
         delta_phi = phase(k, d, divisor, t)
         try:
             magnitude = abs(cos(0.5 * delta_phi))

@@ -13,6 +13,7 @@ import math
 from enum import Enum
 
 from .errors import InvalidInputError, NonFiniteError
+from .units import _show
 
 
 class CouplingKind(str, Enum):
@@ -27,25 +28,31 @@ def _check_positive(name: str, kind: str, value: float) -> None:
 
 
 def _check_finite(name: str, kind: str, value: float) -> None:
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an int beyond the double range, too long to repr
-        raise NonFiniteError(f"{kind} {name} is an integer beyond the double range") from None
-    if not finite:
+    if not math.isfinite(_as_float(name, kind, value)):
         raise InvalidInputError(f"non-finite {kind} {name} = {value!r}")
 
 
-def _name_huge_int(**values: float) -> None:
-    # Float arithmetic on positive-checked swept-field arguments raised
-    # OverflowError: one of them is an int beyond the double range, which
-    # gets the error _check_finite gives.  The caller re-raises otherwise.
-    for name, value in values.items():
-        if isinstance(value, int):
-            _check_finite(name, _SWEPT_FIELDS[name], value)
+def _as_float(name: str, kind: str, value: float) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the double range, too long to repr
+        raise NonFiniteError(f"{kind} {name} is an integer beyond the double range") from None
 
 
-def _invalid_time(t: float) -> None:
-    raise InvalidInputError(f"time must be finite and nonnegative, got {t!r}")
+def _positive(name: str, kind: str, x: float) -> float:
+    """x as a float if it is positive, +inf included; otherwise the error
+    ScenarioParams gives for such a field.  NaN fails the comparison."""
+    if not x > 0.0:
+        _check_positive(name, kind, x)
+    return _as_float(name, kind, x)
+
+
+def _nonnegative(name: str, kind: str, x: float) -> float:
+    """x as a float if it is finite and nonnegative.  NaN fails the
+    comparison."""
+    if not 0.0 <= x < math.inf:
+        raise InvalidInputError(f"{kind} must be finite and nonnegative, got {_show(x)}")
+    return _as_float(name, kind, x)
 
 
 # The fields a sweep varies, with the kind their error messages name.  No

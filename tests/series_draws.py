@@ -1,4 +1,4 @@
-"""Seeded far-field draws for the displacement-series tests."""
+"""Seeded scenario draws for the report and displacement-series tests."""
 
 import math
 
@@ -35,3 +35,21 @@ def series_draw(rng, r_over_d=(2, 6), m_b_decades=3):
     p = ScenarioParams(**kw)
     sigma0 = log_uniform(-1, 2)
     return p, sigma0, crossing_time(p, sigma0) * rng.uniform(0.05, 1.5)
+
+
+def report_draw(rng, r_over_d_from=-2):
+    """A scenario with m_a, m_b and d in 1e+-30 and r/d from
+    10**r_over_d_from (by default 1e-2, so near-field reports too) to 1e20;
+    three in ten are coulomb; and a slack."""
+
+    def log_uniform(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi)
+
+    kw = {"m_a": log_uniform(-30, 30), "m_b": log_uniform(-30, 30), "d": log_uniform(-30, 30)}
+    kw["r"] = kw["d"] * log_uniform(r_over_d_from, 20)
+    if rng.random() < 0.3:
+        kw.update(coupling=CouplingKind.COULOMB, q_a=log_uniform(-30, 30),
+                  q_b=log_uniform(-30, 30), delta_x_min=log_uniform(-3, 3))
+    elif rng.random() < 0.5:
+        kw["delta_x_min"] = log_uniform(-3, 3)
+    return ScenarioParams(**kw), rng.uniform(0.1, 10.0)

@@ -5,7 +5,6 @@ import random
 import mpmath
 
 from interferobounds import bounds, dynamics
-from interferobounds.scenario import CouplingKind, ScenarioParams
 
 from mp_reference import (
     displacement_reference,
@@ -14,7 +13,7 @@ from mp_reference import (
     report_reference,
     ulps,
 )
-from series_draws import series_draw
+from series_draws import report_draw, series_draw
 
 # The worst error over 20,000 draws of this domain was 3.33 ulp.
 REPORT_ULPS = 4.0
@@ -31,29 +30,11 @@ SERIES_ULPS = 5.0
 OVERLAP_RTOL = 1e-12
 
 
-def _report_draw(rng, r_over_d_from=-2):
-    """A scenario with m_a, m_b and d in 1e+-30 and r/d from
-    10**r_over_d_from (by default 1e-2, so near-field reports too) to 1e20;
-    three in ten are coulomb; and a slack."""
-
-    def log_uniform(lo, hi):
-        return 10.0 ** rng.uniform(lo, hi)
-
-    kw = {"m_a": log_uniform(-30, 30), "m_b": log_uniform(-30, 30), "d": log_uniform(-30, 30)}
-    kw["r"] = kw["d"] * log_uniform(r_over_d_from, 20)
-    if rng.random() < 0.3:
-        kw.update(coupling=CouplingKind.COULOMB, q_a=log_uniform(-30, 30),
-                  q_b=log_uniform(-30, 30), delta_x_min=log_uniform(-3, 3))
-    elif rng.random() < 0.5:
-        kw["delta_x_min"] = log_uniform(-3, 3)
-    return ScenarioParams(**kw), rng.uniform(0.1, 10.0)
-
-
 def test_report_values_are_within_a_few_ulp_of_mpmath():
     rng = random.Random(67)
     worst = {}
     for _ in range(4000):
-        p, slack = _report_draw(rng)
+        p, slack = report_draw(rng)
         got = bounds.report_values(p, "both", slack)
         exact = report_reference(p, slack)
         assert set(exact) == {name for name, value in got.items() if not isinstance(value, bool)}
@@ -94,7 +75,7 @@ def test_exact_phase_difference_is_within_a_few_ulp_of_mpmath():
     worst = 0.0
     for _ in range(4000):
         # Far field only: phase_difference applies the geometry gate.
-        p, _ = _report_draw(rng, r_over_d_from=2)
+        p, _ = report_draw(rng, r_over_d_from=2)
         t = 10.0 ** rng.uniform(-30, 30)
         got = bounds.phase_difference(p, t, "exact")
         error = ulps(got, phase_reference(p, t))

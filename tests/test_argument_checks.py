@@ -1,7 +1,9 @@
 """Every library argument check raises its documented error.
 
 One row per check: the call that trips it and the exception it must raise.
-The rows cover the checks that no other test reaches.
+The rows cover the checks that no other test reaches.  The public scalar
+functions of bounds and causal are also checked argument by argument, from
+one valid call each.
 """
 
 import math
@@ -56,6 +58,13 @@ _CHECKS = {
     "r_max_phase m_b=nan": lambda: bounds.r_max_phase(1.0, math.nan, 1.0),
     "meets_one_way_bound r=nan": lambda: causal.meets_one_way_bound(1.0, 1.0, math.nan),
     "backreaction_free r=nan": lambda: causal.backreaction_free(1.0, math.nan),
+    # Times are checked as phase_difference checks its own.
+    "backreaction_free t_b<0": lambda: causal.backreaction_free(-5.0, 1.0),
+    "meets_one_way_bound t_a=nan": lambda: causal.meets_one_way_bound(math.nan, 1.0, 1.0),
+    "meets_one_way_bound t_a=10**400": lambda: causal.meets_one_way_bound(10**400, 1.0, 1.0),
+    "phase_evolution t=10**400": lambda: dynamics.phase_evolution(_P, 10**400),
+    # An int too long for repr is named by its size.
+    "tb_eta eta=10**5000": lambda: bounds.tb_eta(10**5000, 1.0, 1.0),
     "coulomb without charges": lambda: ScenarioParams(
         m_a=1.0, d=1.0, r=1000.0, coupling=CouplingKind.COULOMB, q_a=1e3),
     "'coulomb' without charges": lambda: ScenarioParams(
@@ -122,6 +131,61 @@ def test_positivity_check_words_its_error_as_scenario_params(field, call, value)
     with pytest.raises(InvalidInputError) as got:
         call(value)
     assert str(got.value) == str(expected.value)
+
+
+# Every public scalar function of bounds and causal, with one valid call
+# whose arguments are all numeric.
+_SCALAR_CALLS = {
+    "ta_tb_min_one_way": (bounds.ta_tb_min_one_way, dict(r=3.0)),
+    "ta_tb_min_round_trip": (bounds.ta_tb_min_round_trip, dict(r=3.0)),
+    "displacement_shift": (bounds.displacement_shift, dict(delta_f=3.0, m_b=5.0, t=7.0)),
+    "tb_displacement": (lambda slack: bounds.tb_displacement(_P, slack), dict(slack=3.0)),
+    "tb_eta": (bounds.tb_eta, dict(eta=0.5, m_a=3.0, d=5.0)),
+    "ta_lower_bound": (bounds.ta_lower_bound, dict(eta=0.5, m_a=3.0, d=5.0)),
+    "r_implied": (bounds.r_implied, dict(eta=0.5, m_a=3.0, d=5.0)),
+    "eta_row": (bounds.eta_row, dict(eta=0.5, m_a=3.0, d=5.0)),
+    "ta_min_round_trip": (bounds.ta_min_round_trip, dict(m_a=3.0, d=5.0)),
+    "ta_min_one_way": (bounds.ta_min_one_way, dict(m_a=3.0, d=5.0)),
+    "r_max_displacement": (bounds.r_max_displacement, dict(m_a=3.0, d=5.0, slack=7.0)),
+    "phase_difference": (lambda t: bounds.phase_difference(_P, t), dict(t=3.0)),
+    "r_max_phase": (bounds.r_max_phase, dict(m_a=3.0, m_b=5.0, d=7.0)),
+    "meets_one_way_bound": (causal.meets_one_way_bound, dict(t_a=3.0, t_b=5.0, r=7.0)),
+    "backreaction_free": (causal.backreaction_free, dict(t_b=3.0, r=5.0)),
+}
+_ARGUMENTS = [(name, arg) for name, (_, valid) in _SCALAR_CALLS.items() for arg in valid]
+
+
+def _outcome(fn, **kwargs):
+    """fn(**kwargs) as its type and repr, or the type and message of what
+    it raises."""
+    try:
+        x = fn(**kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(x), repr(x)
+
+
+@pytest.mark.parametrize("name, arg", _ARGUMENTS, ids=[f"{n} {a}" for n, a in _ARGUMENTS])
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 10**400, -10**5000],
+                         ids=["nan", "-1.0", "10**400", "-10**5000"])
+def test_a_bad_numeric_argument_raises_invalid_input(name, arg, bad):
+    fn, valid = _SCALAR_CALLS[name]
+    assert not issubclass(_outcome(fn, **valid)[0], Exception)
+    with pytest.raises(InvalidInputError):
+        fn(**{**valid, arg: bad})
+
+
+@pytest.mark.parametrize("name", _SCALAR_CALLS)
+@pytest.mark.parametrize("n", [3, 10**200, 2**1023], ids=["3", "10**200", "2**1023"])
+def test_int_arguments_compute_as_the_floats_they_convert_to(name, n):
+    # Each argument that an int can hold in turn, then all of them at once:
+    # r_max_phase(10**200, 10**200, 10**200) is inf, as with floats.
+    fn, valid = _SCALAR_CALLS[name]
+    args = [arg for arg in valid if arg != "eta"]
+    for ints in [[arg] for arg in args] + [args]:
+        as_ints = {**valid, **{arg: n for arg in ints}}
+        as_floats = {**valid, **{arg: float(n) for arg in ints}}
+        assert _outcome(fn, **as_ints) == _outcome(fn, **as_floats), ints
 
 
 # +inf passes every positivity check, so an overflowed input gives an

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from interferobounds.units import from_planck, to_planck
 
 from eta_oracle import optimize_eta
 from scenario_copy import validated_copy
+from series_draws import report_draw
 
 
 def scenario(**kw):
@@ -604,9 +606,8 @@ def test_report_provenance_names_an_unknown_coupling():
         assert report_provenance("coulomb", model) == report_provenance(CouplingKind.COULOMB, model)
 
 
-@pytest.mark.parametrize("slack", [1.0, 2.5])
-def test_report_fields_equal_their_public_functions(slack):
-    rng = np.random.default_rng(43)
+def _far_field_draws(rng):
+    """Scenarios in the report's own domain, half of them coulomb."""
     for coulomb in (False, True) * 50:
         kw = dict(
             m_a=float(10.0 ** rng.uniform(6, 12)),
@@ -621,16 +622,37 @@ def test_report_fields_equal_their_public_functions(slack):
                 q_b=float(10.0 ** rng.uniform(0, 3)),
                 delta_x_min=float(10.0 ** rng.uniform(0.5, 3)),
             )
-        p = ScenarioParams(**kw)
-        m_eff = p.effective_source_mass
-        rep = feasibility_report(p, slack=slack)
-        assert rep.tb_displacement == tb_displacement(p, slack)
-        assert rep.ta_min_round_trip == ta_min_round_trip(m_eff, p.d)
-        assert rep.ta_min_one_way == ta_min_one_way(m_eff, p.d)
-        assert rep.r_max_displacement == r_max_displacement(m_eff, p.d, slack)
-        assert rep.tb_phase_exact == tb_phase(p, "exact")
-        assert rep.tb_phase_approx == tb_phase(p, "approx")
-        assert rep.r_max_phase == r_max_phase(p.source_strength, p.probe_strength, p.d)
+        yield ScenarioParams(**kw)
+
+
+@pytest.mark.parametrize("slack", [1.0, 2.5])
+def test_report_fields_equal_their_public_functions(slack):
+    # The rows call unchecked bodies on the validated fields.  Far-field
+    # draws, the accuracy test's extreme ones (1e+-30, near field and
+    # coulomb included) and the perturbation draws, where rows raise: each
+    # row must give its public function's value, or its error.
+    report_rng, perturbation_rng = random.Random(47), np.random.default_rng(53)
+    scenarios = [
+        *_far_field_draws(np.random.default_rng(43)),
+        *(report_draw(report_rng)[0] for _ in range(300)),
+        *(_perturbation_draw(perturbation_rng, coulomb)[0] for coulomb in (False, True) * 150),
+    ]
+    for p in scenarios:
+        # The public functions that take a scenario apply the geometry gate.
+        ungated = validated_copy(p, override_geometry=True)
+        public = {
+            "tb_displacement": lambda: tb_displacement(ungated, slack),
+            "ta_min_round_trip": lambda: ta_min_round_trip(p.effective_source_mass, p.d),
+            "ta_min_one_way": lambda: ta_min_one_way(p.effective_source_mass, p.d),
+            "r_max_displacement": lambda: r_max_displacement(p.effective_source_mass, p.d, slack),
+            "tb_phase_exact": lambda: tb_phase(ungated, "exact"),
+            "tb_phase_approx": lambda: tb_phase(ungated, "approx"),
+            "r_max_phase": lambda: r_max_phase(p.source_strength, p.probe_strength, p.d),
+        }
+        rows = _row_outcomes(p, slack)
+        for field, call in public.items():
+            x = _outcome(call)
+            assert rows[field] == (x if type(x) is tuple else (type(x), repr(x))), (field, p, slack)
 
 
 @pytest.mark.parametrize("coulomb", [False, True])
@@ -662,12 +684,15 @@ def test_replace_swept_rejects_what_replace_rejects(name, coulomb):
 
 def _row_outcomes(p, slack):
     """Each report row's value, or the type and message of what it raises,
-    with every row before it evaluated the same way."""
+    with every row before it evaluated the same way.  A row that reads a
+    row that raised gets that row's outcome, as the report raises it."""
     values, outcomes = {}, {}
     for field, _, _, value in bounds._REPORT:
         try:
             values[field] = value(p, slack, values)
             outcomes[field] = (type(values[field]), repr(values[field]))
+        except KeyError as exc:
+            outcomes[field] = outcomes[exc.args[0]]
         except Exception as exc:
             outcomes[field] = (type(exc), str(exc))
     return outcomes
