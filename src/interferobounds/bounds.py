@@ -14,12 +14,11 @@ dependence so the dropped O(d/r) factors can be audited.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
 from .errors import GeometryError, InvalidInputError
-from .scenario import (_SWEPT_FIELDS, CouplingKind, ScenarioParams, _as_float,
+from .scenario import (_MAX, _SWEPT_FIELDS, CouplingKind, ScenarioParams, _as_float,
                        _check_positive, _nonnegative, _positive, replace_swept)
 from .units import _show
 
@@ -53,9 +52,10 @@ def ta_tb_min_round_trip(r: float) -> float:
 
 
 def _check_slack(slack: float) -> float:
-    if not 0.0 < slack < math.inf:
-        raise InvalidInputError(f"slack must be finite and positive, got {_show(slack)}")
-    return _as_float("slack", "multiplier", slack)
+    if not 0.0 < slack <= _MAX:
+        _as_float("slack", "multiplier", slack)  # names an int beyond the double range
+        raise InvalidInputError(f"slack must be finite and positive, got {slack!r}")
+    return float(slack)
 
 
 def differential_force(p: ScenarioParams, mode: str = "approx") -> float:
@@ -378,7 +378,7 @@ def _report_rows(q, slack, name, v, varying, values):
     # q is this series' own copy, never handed out: each point writes the
     # swept value into it, and into v the rows that read it.
     # An int beyond the double range exceeds the largest double, as +inf does.
-    kind, fields, top = _SWEPT_FIELDS[name], q.__dict__, sys.float_info.max
+    kind, fields, top = _SWEPT_FIELDS[name], q.__dict__, _MAX
     yield (fields[name], *[v[field] for field, _ in varying])
     for value in values:
         if not 0.0 < value <= top:

@@ -25,7 +25,8 @@ from collections.abc import Iterable, Iterator
 
 from . import bounds
 from .errors import ConvergenceError, InvalidInputError, NonFiniteError
-from .scenario import ScenarioParams, _check_positive, _nonnegative
+from .scenario import _MAX, ScenarioParams, _nonnegative, _positive
+from .units import _show
 
 # Relative tolerance on det(cov) = 1/4 when a pure-state wavefunction is needed.
 _PURITY_RTOL = 1e-6
@@ -92,6 +93,8 @@ class GaussianState(namedtuple("GaussianState", "mean_x mean_p cov phase", defau
             raise InvalidInputError(
                 f"covariance must be a 2x2 array of numbers, got {cov!r}"
             ) from None
+        except OverflowError:  # an int beyond the double range
+            raise NonFiniteError("state fields must be finite") from None
         self = super().__new__(cls, mean_x, mean_p, cov, phase)
         # Called by name: the benchmark's tracer wraps it.
         self.__post_init__()
@@ -104,11 +107,10 @@ class GaussianState(namedtuple("GaussianState", "mean_x mean_p cov phase", defau
 
     def __post_init__(self) -> None:
         (sxx, sxp), (spx, spp) = cov = self.cov
-        if not (
-            math.isfinite(sxx) and math.isfinite(sxp) and math.isfinite(spx)
-            and math.isfinite(spp) and math.isfinite(self.mean_x)
-            and math.isfinite(self.mean_p) and math.isfinite(self.phase)
-        ):
+        low, top = -_MAX, _MAX
+        if not (low <= sxx <= top and low <= sxp <= top and low <= spx <= top
+                and low <= spp <= top and low <= self.mean_x <= top
+                and low <= self.mean_p <= top and low <= self.phase <= top):
             raise NonFiniteError("state fields must be finite")
         scale = max(1.0, abs(sxp), abs(spx))
         if abs(sxp - spx) > 1e-12 * scale:
@@ -129,10 +131,9 @@ class GaussianState(namedtuple("GaussianState", "mean_x mean_p cov phase", defau
 
 def ground_state(m: float, omega: float) -> GaussianState:
     """Trap ground state: minimum uncertainty, sigma_x = sqrt(1/(2*m*omega))."""
-    if not m > 0.0:
-        _check_positive("m", "mass", m)
-    if not omega > 0.0:
-        _check_positive("omega", "frequency", omega)
+    if not (0.0 < m <= _MAX and 0.0 < omega <= _MAX):
+        _positive("m", "mass", m)
+        _positive("omega", "frequency", omega)
     sx2 = 1.0 / (2.0 * m * omega)
     sp2 = 0.5 * m * omega
     return GaussianState(0.0, 0.0, ((sx2, 0.0), (0.0, sp2)), 0.0)
@@ -140,8 +141,9 @@ def ground_state(m: float, omega: float) -> GaussianState:
 
 def ground_state_with_width(m: float, sigma_x: float) -> GaussianState:
     """Trap ground state with a chosen position width (omega = 1/(2*m*sigma_x^2))."""
-    if not sigma_x > 0.0:
-        _check_positive("sigma_x", "width", sigma_x)
+    if not (0.0 < sigma_x <= _MAX and 0.0 < m <= _MAX):
+        _positive("sigma_x", "width", sigma_x)
+        _positive("m", "mass", m)
     scale = 2.0 * m * sigma_x * sigma_x
     if scale == math.inf:
         raise NonFiniteError(f"2*m*sigma_x^2 overflows at m = {m!r}, sigma_x = {sigma_x!r}")
@@ -149,8 +151,8 @@ def ground_state_with_width(m: float, sigma_x: float) -> GaussianState:
 
 
 def _check_force(force: float) -> None:
-    if not math.isfinite(force):
-        raise NonFiniteError(f"force must be finite, got {force!r}")
+    if not -_MAX <= force <= _MAX:
+        raise NonFiniteError(f"force must be finite, got {_show(force)}")
 
 
 def evolve_constant_force(
@@ -162,10 +164,9 @@ def evolve_constant_force(
     the free symplectic map (a uniform force displaces but never reshapes a
     Gaussian); the phase advances by the classical action of the mean path.
     """
-    if t < 0.0 or not math.isfinite(t):
+    if not (0.0 <= t <= _MAX and 0.0 < m <= _MAX):
         _nonnegative("t", "time", t)
-    if not m > 0.0:
-        _check_positive("m", "mass", m)
+        _positive("m", "mass", m)
     _check_force(force)
     tau = t / m
     (sxx, sxp), (_, spp) = state.cov
@@ -229,7 +230,7 @@ def _cexp(z: complex) -> complex:
             x -= _CEXP_STEP
             sin_y *= _CEXP_STEP_VALUE
             cos_y *= _CEXP_STEP_VALUE
-    scale = sys.float_info.max if x > _CEXP_STEP else math.exp(x)
+    scale = _MAX if x > _CEXP_STEP else math.exp(x)
     return complex(scale * cos_y, scale * sin_y)
 
 
@@ -313,9 +314,9 @@ def displacement_series(
 
 
 def _displacement_rows(times, m, sigma0, sxx, spp, half_left, half_right, d_force):
-    exp, sqrt, inf = math.exp, math.sqrt, math.inf
+    exp, sqrt, top = math.exp, math.sqrt, _MAX
     for t in times:
-        if not 0.0 <= t < inf:
+        if not 0.0 <= t <= top:
             _nonnegative("t", "time", t)
         tau = t / m
         # The exponent is -(x1^2 + x2^2)/2.  dF*t is formed first: a zero
@@ -329,7 +330,7 @@ def _displacement_rows(times, m, sigma0, sxx, spp, half_left, half_right, d_forc
 
 def _check_eps(eps: float) -> None:
     if not 0.0 < eps < 1.0:
-        raise InvalidInputError(f"eps must lie in (0, 1), got {eps!r}")
+        raise InvalidInputError(f"eps must lie in (0, 1), got {_show(eps)}")
 
 
 def orthogonalization_time(
@@ -387,9 +388,9 @@ def phase_series(
 
 
 def _phase_rows(times, k, d, divisor):
-    phase, cos, inf = bounds._phase, math.cos, math.inf
+    phase, cos, top = bounds._phase, math.cos, _MAX
     for t in times:
-        if not 0.0 <= t < inf:
+        if not 0.0 <= t <= top:
             _nonnegative("t", "time", t)
         delta_phi = phase(k, d, divisor, t)
         try:

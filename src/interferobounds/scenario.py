@@ -10,10 +10,13 @@ in SI.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 from .errors import InvalidInputError, NonFiniteError
-from .units import _show
+
+# Every numeric check's bound: NaN, +-inf and ints beyond it fail 0.0 < x <= _MAX.
+_MAX = sys.float_info.max
 
 
 class CouplingKind(str, Enum):
@@ -22,13 +25,10 @@ class CouplingKind(str, Enum):
 
 
 def _check_positive(name: str, kind: str, value: float) -> None:
-    _check_finite(name, kind, value)
-    if value <= 0.0:
-        raise InvalidInputError(f"nonpositive {kind} {name} = {value!r}")
-
-
-def _check_finite(name: str, kind: str, value: float) -> None:
-    if not math.isfinite(_as_float(name, kind, value)):
+    """Raise ScenarioParams' error for field name unless value is finite and positive."""
+    if not 0.0 < value <= _MAX:
+        if -_MAX <= _as_float(name, kind, value) <= 0.0:
+            raise InvalidInputError(f"nonpositive {kind} {name} = {value!r}")
         raise InvalidInputError(f"non-finite {kind} {name} = {value!r}")
 
 
@@ -40,25 +40,29 @@ def _as_float(name: str, kind: str, value: float) -> float:
 
 
 def _positive(name: str, kind: str, x: float) -> float:
-    """x as a float if it is positive, +inf included; otherwise the error
-    ScenarioParams gives for such a field.  NaN fails the comparison."""
-    if not x > 0.0:
+    """x as a float if it is positive, +inf included; else _check_positive's error."""
+    if x != math.inf:
         _check_positive(name, kind, x)
-    return _as_float(name, kind, x)
+    return float(x)
 
 
 def _nonnegative(name: str, kind: str, x: float) -> float:
-    """x as a float if it is finite and nonnegative.  NaN fails the
-    comparison."""
-    if not 0.0 <= x < math.inf:
-        raise InvalidInputError(f"{kind} must be finite and nonnegative, got {_show(x)}")
-    return _as_float(name, kind, x)
+    """x as a float if it is finite and nonnegative."""
+    if not 0.0 <= x <= _MAX:
+        _as_float(name, kind, x)  # names an int beyond the double range
+        raise InvalidInputError(f"{kind} {name} must be finite and nonnegative, got {x!r}")
+    return float(x)
 
 
 # The fields a sweep varies, with the kind their error messages name.  No
 # check in ScenarioParams.__post_init__ reads two of them together, or one
 # of them with another field, which is what makes replace_swept sound.
 _SWEPT_FIELDS = {"m_a": "mass", "m_b": "mass", "d": "length", "r": "length"}
+
+# The fields that may be None, the kind their errors name, and their check.
+_OPTIONAL_FIELDS = (("q_a", "charge", _check_positive), ("q_b", "charge", _check_positive),
+                    ("delta_x_min", "length", _check_positive),
+                    ("t_a", "time", _nonnegative), ("t_b", "time", _nonnegative))
 
 
 class ScenarioParams:
@@ -96,25 +100,20 @@ class ScenarioParams:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        for name, kind in _SWEPT_FIELDS.items():
-            _check_positive(name, kind, getattr(self, name))
-        _check_positive("r_over_d_min", "ratio", self.r_over_d_min)
+        fields, top = self.__dict__, _MAX
+        for name, kind in (*_SWEPT_FIELDS.items(), ("r_over_d_min", "ratio")):
+            if not 0.0 < fields[name] <= top:
+                _check_positive(name, kind, fields[name])
         try:
             object.__setattr__(self, "coupling", CouplingKind(self.coupling))
         except ValueError:
             raise InvalidInputError(f"unknown coupling {self.coupling!r}") from None
         if self.coupling is CouplingKind.COULOMB and (self.q_a is None or self.q_b is None):
             raise InvalidInputError("coulomb coupling requires q_a and q_b")
-        for name, value in (("q_a", self.q_a), ("q_b", self.q_b)):
-            if value is not None:
-                _check_positive(name, "charge", value)
-        if self.delta_x_min is not None:
-            _check_positive("delta_x_min", "length", self.delta_x_min)
-        for name, value in (("t_a", self.t_a), ("t_b", self.t_b)):
-            if value is not None:
-                _check_finite(name, "time", value)
-                if value < 0.0:
-                    raise InvalidInputError(f"negative time {name} = {value!r}")
+        for name, kind, check in _OPTIONAL_FIELDS:
+            value = fields[name]
+            if value is not None and not 0.0 < value <= top:
+                check(name, kind, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

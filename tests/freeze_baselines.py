@@ -46,6 +46,10 @@ GOLDEN_COMMANDS = {
         "--m-b", "1mp", "--d", "1e6lp", "--r", "1e8lp", "--sigma0", "1lp",
         "--t-max", "1e5tp", "--steps", "4",
     ],
+    "simulate_displacement_auto.csv": [
+        "simulate", "--model", "displacement", "--m-a", "1e9mp", "--d", "1e6lp",
+        "--r", "1e8lp", "--t-max", "auto", "--steps", "4",
+    ],
 }
 
 # Criterion grid for the wavepacket-oracle ratio table.

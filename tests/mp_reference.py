@@ -1,6 +1,6 @@
 """50-digit mpmath values of the feasibility report's numeric fields, the
-eta-sweep columns, the exact differential phase and the displacement
-series' columns.
+eta-sweep columns, the exact differential phase, the displacement
+series' columns and the time their overlap falls to eps.
 
 Each value is written from its provenance formula in `bounds._REPORT`,
 `bounds.ETA_COLUMNS`, the `phase_difference` docstring or the physics of
@@ -91,6 +91,22 @@ def displacement_reference(p: ScenarioParams, sigma0: float, t: float) -> dict:
             "sigma_x": mpmath.sqrt(sigma0 ** 2 + t ** 2 / (4 * m_b ** 2 * sigma0 ** 2)),
             "overlap_magnitude": mpmath.exp(-d_force ** 2 / 2 * spread),
         }
+
+
+def crossing_reference(p: ScenarioParams, sigma0: float, eps: float):
+    """The time at which the overlap magnitude of displacement_reference
+    falls to eps: the positive root in t^2 of
+    (dF^2/2)*(sigma0^2*t^2 + t^4/(16*m_B^2*sigma0^2)) = ln(1/eps), in its
+    cancellation-free form."""
+    cancelled = max(0, int(math.log10(p.r) - math.log10(p.d)))
+    with mpmath.workdps(DIGITS + cancelled):
+        src, prb = _strengths(p)
+        m_b, d, r, sigma0, eps = map(mpmath.mpf, (p.m_b, p.d, p.r, sigma0, eps))
+        d_force = src * prb / r ** 2 - src * prb / (r + d) ** 2
+        log_inv = mpmath.log(1 / eps)
+        a = d_force ** 2 / (32 * m_b ** 2 * sigma0 ** 2)
+        b = d_force ** 2 * sigma0 ** 2 / 2
+        return mpmath.sqrt(2 * log_inv / (b + mpmath.sqrt(b * b + 4 * a * log_inv)))
 
 
 def ulps(value: float, exact) -> float:

@@ -7,6 +7,7 @@ import mpmath
 from interferobounds import bounds, dynamics
 
 from mp_reference import (
+    crossing_reference,
     displacement_reference,
     eta_reference,
     phase_reference,
@@ -28,6 +29,12 @@ ETA_ULPS = PHASE_ULPS = 4.0
 SERIES_ULPS = 5.0
 # The closed-form overlap: worst 2.6e-14 relative over 20,000 draws.
 OVERLAP_RTOL = 1e-12
+# orthogonalization_time bisects to 1e-9 relative width.  On the
+# benchmark's domain (m_B = sigma0 = 1) the worst error over 18,000 draws
+# was 7.0e-10.  With series_draw's m_B and sigma0 the oracle's own
+# cancellation dominates: the worst over 30,000 draws was 3.7e-6.
+ORTH_RTOL_BENCH = 2e-9
+ORTH_RTOL_SERIES = 1e-5
 
 
 def test_report_values_are_within_a_few_ulp_of_mpmath():
@@ -102,3 +109,21 @@ def test_displacement_series_is_within_a_few_ulp_of_mpmath():
                 assert error <= SERIES_ULPS, (name, p, sigma0, t, got, exact[name])
             worst[name] = max(worst.get(name, 0.0), error)
     assert set(worst) == set(header[1:]) and worst["mean_x_r"] > 1.0
+
+
+def test_orthogonalization_time_is_the_mpmath_crossing():
+    rng = random.Random(83)
+    for m_b_decades, rtol in ((0, ORTH_RTOL_BENCH), (3, ORTH_RTOL_SERIES)):
+        worst = 0.0
+        for _ in range(1500):
+            # m_b_decades=0 is the benchmark's domain: m_B = sigma0 = 1.
+            p, sigma0, _ = series_draw(rng, m_b_decades=m_b_decades)
+            if m_b_decades == 0:
+                sigma0 = 1.0
+            got = dynamics.orthogonalization_time(p, sigma0, 0.01)
+            exact = crossing_reference(p, sigma0, 0.01)
+            error = float(abs(mpmath.mpf(got) - exact) / exact)
+            assert error <= rtol, (p, sigma0, got, exact)
+            worst = max(worst, error)
+        # The bisection width shows: the comparison is not vacuous.
+        assert worst > 1e-11

@@ -19,6 +19,7 @@ _P = ScenarioParams(m_a=1.0, d=1.0, r=1000.0)
 # r*r underflows to zero, so a force computed before the width check divides by zero.
 _TINY = ScenarioParams(m_a=1.0, d=1e-200, r=1e-200)
 _COULOMB = dict(m_a=1.0, d=1.0, r=1000.0, q_a=1e3, q_b=1e3, delta_x_min=1.0)
+_FAR = ScenarioParams(m_a=1e9, d=1e4, r=1e8)
 
 _CHECKS = {
     "displacement_shift m_b": lambda: bounds.displacement_shift(1.0, 0.0, 1.0),
@@ -95,6 +96,37 @@ _CHECKS = {
         bounds.report_series(_P, "both", 1.0, "r", [1e9, 10**400])[1]),
     "report_series m_a=10**400": lambda: list(
         bounds.report_series(_P, "both", 1.0, "m_a", [1e9, 10**400])[1]),
+    # dynamics checks as bounds does: an int beyond the double range is
+    # named, or refused as a non-finite force or state field.
+    "ground_state m=10**400": lambda: dynamics.ground_state(10**400, 1.0),
+    "ground_state omega=10**400": lambda: dynamics.ground_state(1.0, 10**400),
+    "ground_state_with_width sigma_x=10**400": lambda: dynamics.ground_state_with_width(
+        1.0, 10**400),
+    "ground_state_with_width m=10**400": lambda: dynamics.ground_state_with_width(10**400, 1.0),
+    "ground_state_with_width m=0": lambda: dynamics.ground_state_with_width(0.0, 1.0),
+    "evolve_constant_force t=10**400": lambda: dynamics.evolve_constant_force(
+        dynamics.ground_state(1.0, 1.0), 1.0, 1.0, 10**400),
+    "evolve_constant_force m=10**400": lambda: dynamics.evolve_constant_force(
+        dynamics.ground_state(1.0, 1.0), 1.0, 10**400, 1.0),
+    "evolve_constant_force force beyond the double range": lambda: (
+        dynamics.evolve_constant_force(dynamics.ground_state(1.0, 1.0), 10**400, 1.0, 1.0)),
+    "evolve_constant_force force=-10**5000": lambda: dynamics.evolve_constant_force(
+        dynamics.ground_state(1.0, 1.0), -10**5000, 1.0, 1.0),
+    "orthogonalization_time sigma0=10**400": lambda: dynamics.orthogonalization_time(
+        _FAR, 10**400),
+    "orthogonalization_time eps=-10**5000": lambda: dynamics.orthogonalization_time(
+        _FAR, 1.0, -10**5000),
+    "displacement_series sigma0=10**400": lambda: dynamics.displacement_series(
+        _FAR, 10**400, [1.0]),
+    "displacement_series row t=10**400": lambda: list(
+        dynamics.displacement_series(_FAR, 1.0, [10**400])),
+    "phase_series row t=10**400": lambda: list(dynamics.phase_series(_FAR, [10**400])),
+    "displacement_branches t=10**400": lambda: dynamics.displacement_branches(
+        _FAR, 1.0, 10**400),
+    "GaussianState mean_x beyond the double range": lambda: dynamics.GaussianState(
+        10**400, 0.0, ((1.0, 0.0), (0.0, 1.0))),
+    "GaussianState cov beyond the double range": lambda: dynamics.GaussianState(
+        0.0, 0.0, ((10**400, 0.0), (0.0, 1.0))),
     "non-real Quantity": lambda: to_planck("1.0", "length"),
     "bool Quantity": lambda: to_planck(True, "mass"),
     "to_planck unknown kind": lambda: to_planck(1.0, "speed"),
@@ -131,6 +163,17 @@ def test_positivity_check_words_its_error_as_scenario_params(field, call, value)
     with pytest.raises(InvalidInputError) as got:
         call(value)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, 10**400, -10**400])
+def test_a_scenario_time_is_checked_as_a_library_time(value):
+    with pytest.raises(InvalidInputError) as expected:
+        causal.backreaction_free(value, 1.0)
+    with pytest.raises(InvalidInputError) as got:
+        ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_b=value)
+    assert str(got.value) == str(expected.value)
+    if isinstance(value, float):
+        assert str(got.value) == f"time t_b must be finite and nonnegative, got {value!r}"
 
 
 # Every public scalar function of bounds and causal, with one valid call
@@ -206,6 +249,18 @@ _INFINITE_ARGUMENT = {
 @pytest.mark.parametrize("call, expected", _INFINITE_ARGUMENT.values(), ids=_INFINITE_ARGUMENT)
 def test_infinite_argument_gives_a_result(call, expected):
     assert call() == expected
+
+
+def test_the_oracle_lets_an_infinite_mass_through_as_bounds_does():
+    # +inf passes the oracle's positivity checks.  A ground state of
+    # infinite mass has an infinite momentum width, so it is a non-finite
+    # state, not an invalid input; an infinite mass in the evolution only
+    # stops the free spreading.
+    with pytest.raises(NonFiniteError, match="^state fields must be finite$"):
+        dynamics.ground_state(math.inf, 1.0)
+    s = dynamics.ground_state(1.0, 1.0)
+    evolved = dynamics.evolve_constant_force(s, 1.0, math.inf, 1.0)
+    assert evolved.cov == s.cov and evolved.mean_p == 1.0
 
 
 def test_report_rejects_unknown_attribute():

@@ -431,6 +431,14 @@ _OUT_OF_RANGE = [
     (["simulate", "--model", "displacement", "--m-a", "1e6mp", "--m-b", "1e200mp",
       "--d", "1e3lp", "--r", "1e6lp", "--sigma0", "1e60lp", "--t-max", "1tp", "--steps", "2"],
      "2*m*sigma_x^2 overflows"),
+    # 2*m_B*sigma0^2 is subnormal, so the trap frequency overflows to +inf.
+    # The oracle lets +inf through its positivity checks, as bounds does:
+    # the ground state it gives is out of range, not an invalid input.
+    (["simulate", "--m-a", "1.3894127935947606e+185mp", "--m-b", "8.049373009779168e-58mp",
+      "--d", "8.340939717854801e+149lp", "--r", "9.198375045707938e+108lp",
+      "--override-geometry", "--model", "displacement", "--t-max", "9.228942170527732e-24tp",
+      "--steps", "4", "--sigma0", "1.5303858532943347e-127lp"],
+     "result outside the floating-point range: state fields must be finite"),
     # An SI time beyond the double range in Planck units.
     (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
       "--t-max", "1e300s", "--steps", "2"], "1e+300 s is not representable in Planck units"),

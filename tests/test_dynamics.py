@@ -411,7 +411,7 @@ def test_displacement_series_checks_once_before_the_first_row():
     # A bad time is refused at its row, after the rows before it.
     rows = displacement_series(p, 1.0, [0.0, 1.0, -1.0])
     assert [row[0] for row in (next(rows), next(rows))] == [0.0, 1.0]
-    with pytest.raises(InvalidInputError, match="time must be finite and nonnegative"):
+    with pytest.raises(InvalidInputError, match="time t must be finite and nonnegative"):
         next(rows)
 
 
@@ -434,7 +434,7 @@ def test_phase_series_gates_once_and_checks_each_row():
     p = ScenarioParams(m_a=1.0, d=1.0, r=1e3)
     rows = phase_series(p, [1.0, math.nan])
     assert next(rows)[0] == 1.0
-    with pytest.raises(InvalidInputError, match="time must be finite and nonnegative"):
+    with pytest.raises(InvalidInputError, match="time t must be finite and nonnegative"):
         next(rows)
     # The per-row range checks: a phase that underflows to zero at t > 0,
     # and one whose cosine overflows.
