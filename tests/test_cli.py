@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -15,7 +16,8 @@ from interferobounds.errors import NonFiniteError
 from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
 from interferobounds.units import to_planck
 
-from freeze_baselines import DATA, GOLDEN_COMMANDS
+from freeze_baselines import (DATA, GOLDEN_COMMANDS, TEXT_COMMANDS, TEXT_ENV, USAGE_CASES,
+                              surface_json, usage_matches, usage_outcome)
 from scenario_copy import validated_copy
 
 GOLDEN = DATA / "golden"
@@ -56,6 +58,31 @@ def test_golden_bytes_without_numpy(name):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+# --- the CLI surface: help and version text, parser actions, usage errors -----
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_COMMANDS))
+def test_version_and_help_bytes(name):
+    if name.startswith("help") and sys.version_info[:2] != (3, 11):
+        pytest.skip("argparse lays out --help differently across Python versions; "
+                    "the help goldens are 3.11's, and CI's 3.11 leg compares them")
+    env = {**os.environ, **TEXT_ENV}
+    proc = subprocess.run([sys.executable, "-m", "interferobounds", *TEXT_COMMANDS[name]],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (DATA / "cli" / name).read_bytes()
+
+
+def test_parser_actions_match_the_surface_pin():
+    assert surface_json() == (DATA / "cli" / "surface.json").read_text()
+
+
+@pytest.mark.parametrize("name", USAGE_CASES)
+def test_usage_case_gives_its_pinned_outcome(name, capsys):
+    outcome = usage_outcome(main(USAGE_CASES[name][0]), capsys.readouterr().out)
+    assert usage_matches(name, outcome), outcome
 
 
 def test_repeated_invocations_are_byte_identical():
@@ -567,6 +594,42 @@ def test_cli_contract_holds_for_extreme_inputs(capsys):
     rng = random.Random(2405)
     for _ in range(1000):
         _run_contract(_contract_argv(rng), capsys)
+
+
+_RATIOS = ["100", "1e-300", "0", "-1", "-1.7976931348623157e308", "1.7976931348623157e308",
+           "nan", "inf", "x"]
+
+
+def _flag_layer_argv(rng):
+    """One _contract_argv draw changed where that generator never goes: an
+    --r-over-d-min value, a dropped flag (perhaps a required one), an
+    abbreviated or ambiguous flag, a repeated flag, or --units si with the
+    Planck suffixes taken off."""
+    argv = _contract_argv(rng)
+    pairs = [i for i, tok in enumerate(argv[:-1])
+             if tok.startswith("--") and not argv[i + 1].startswith("--")]
+    change = rng.choice(("ratio", "drop", "abbreviate", "repeat", "si"))
+    if change == "ratio":
+        argv += ["--r-over-d-min", rng.choice(_RATIOS)]
+    elif change == "drop":
+        i = rng.choice(pairs)
+        del argv[i:i + 2]
+    elif change == "abbreviate":
+        i = rng.choice([i for i, tok in enumerate(argv) if tok.startswith("--")])
+        argv[i] = argv[i][:rng.randint(3, len(argv[i]))]
+    elif change == "repeat":
+        i = rng.choice(pairs)
+        argv += argv[i:i + 2]
+    else:
+        argv = [re.sub(r"^([\d.]+(?:e[+-]?\d+)?)[mlt]p$", r"\1", tok) for tok in argv]
+        argv += ["--units", "si"]
+    return argv
+
+
+def test_cli_contract_holds_at_the_flag_layer(capsys):
+    rng = random.Random(2407)
+    for _ in range(1000):
+        _run_contract(_flag_layer_argv(rng), capsys)
 
 
 _EPS_INSIDE = ["0.01", "0.5", "1e-300", "0.9999999999999999"]
