@@ -22,7 +22,7 @@ from itertools import chain
 
 from . import __version__, bounds, causal
 from .errors import ConvergenceError, InvalidInputError
-from .scenario import _SWEPT_FIELDS, CouplingKind, ScenarioParams, _check_positive
+from .scenario import _FIELDS, _SWEPT_FIELDS, CouplingKind, ScenarioParams, _check_positive
 from .units import KINDS, from_planck, to_planck
 
 # Unit suffix -> (kind, unit system), from the units table.
@@ -32,16 +32,8 @@ _TOKEN_RE = re.compile(
     rf"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)({'|'.join(_SUFFIXES)})?$"
 )
 
-# Each flag (by argparse dest) that takes a quantity, and the quantity's kind.
-_QUANTITY_FLAGS = {
-    **_SWEPT_FIELDS,
-    "q_a": "charge",
-    "q_b": "charge",
-    "dx_min": "length",
-    "t_a": "time",
-    "t_b": "time",
-    "sigma0": "length",
-}
+# bounds and simulate require these flags; sweep, which may leave out its swept one, checks them.
+_REQUIRED_FLAGS = [f for f in _FIELDS if not f.optional and f.default is None]
 
 
 def _parse_quantity(flag: str, text: str, kind: str, units_mode: str) -> tuple[float, float]:
@@ -66,19 +58,23 @@ def _parse_quantity(flag: str, text: str, kind: str, units_mode: str) -> tuple[f
     return to_planck(value, kind), value
 
 
-def _read_quantities(args, names) -> tuple[dict, dict]:
-    """Parse the named quantity flags that were given into ({name: planck
-    value}, input echo)."""
-    planck: dict = {}
+def _read_fields(args) -> tuple[dict, dict]:
+    """({field: planck value}, input echo keyed by flag dest) of the field
+    flags this subcommand has and was given, read in table order.  A field
+    a sweep may vary that no flag set, such as causal's m_a, is 1.0."""
+    planck = dict.fromkeys(_SWEPT_FIELDS, 1.0)
     echo: dict = {"units": args.units}
-    for name in names:
-        raw = getattr(args, name)
+    for f in _FIELDS:
+        dest = f.flag[2:].replace("-", "_")
+        raw = getattr(args, dest, None)
         if raw is None:
             continue
-        kind = _QUANTITY_FLAGS[name]
-        p_val, si_val = _parse_quantity(f"--{name.replace('_', '-')}", raw, kind, args.units)
-        planck[name] = p_val
-        echo[name] = {"planck": p_val, "si": si_val, "si_unit": KINDS[kind][0]}
+        if f.kind in KINDS:
+            value, si_val = _parse_quantity(f.flag, raw, f.kind, args.units)
+            echo[dest] = {"planck": value, "si": si_val, "si_unit": KINDS[f.kind][0]}
+        else:  # a bare number, which argparse read
+            value = echo[dest] = raw
+        planck[f.name] = value
     return planck, echo
 
 
@@ -100,22 +96,10 @@ def _fmt(value) -> str:
 
 def _scenario_from_args(args):
     """Build ScenarioParams from parsed flags; returns (params, input_echo)."""
-    planck, echo = _read_quantities(args, ("m_a", "m_b", "d", "r", "q_a", "q_b", "dx_min"))
+    planck, echo = _read_fields(args)
     echo["coupling"] = args.coupling
-    echo["r_over_d_min"] = args.r_over_d_min
-    params = ScenarioParams(
-        m_a=planck.get("m_a", 1.0),
-        d=planck.get("d", 1.0),
-        r=planck.get("r", 1.0),
-        m_b=planck.get("m_b", 1.0),
-        coupling=args.coupling,
-        q_a=planck.get("q_a"),
-        q_b=planck.get("q_b"),
-        delta_x_min=planck.get("dx_min"),
-        r_over_d_min=args.r_over_d_min,
-        override_geometry=args.override_geometry,
-    )
-    return params, echo
+    return ScenarioParams(**planck, coupling=args.coupling,
+                          override_geometry=args.override_geometry), echo
 
 
 def _envelope(command: str, input_echo: dict, results: dict, provenance: dict) -> dict:
@@ -187,26 +171,24 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_causal(args) -> int:
-    planck, echo = _read_quantities(args, ("r", "t_a", "t_b"))
-    r_p, ta_p, tb_p = planck["r"], planck["t_a"], planck["t_b"]
+    planck, echo = _read_fields(args)
     strict = echo["strict"] = not args.non_strict
-    # Masses and separation are irrelevant to the timing checks.
-    params = ScenarioParams(m_a=1.0, d=1.0, r=r_p, t_a=ta_p, t_b=tb_p)
-    verdict = causal.check_no_signalling(params, strict=strict)
-    timeline = causal.build_timeline(params)
+    p = ScenarioParams(**planck)
+    verdict = causal.check_no_signalling(p, strict=strict)
+    timeline = causal.build_timeline(p)
     results = {
         "events": [{"label": e.label, "t": e.t, "x": e.x} for e in timeline],
         "one_way": {
-            "bound": bounds.ta_tb_min_one_way(r_p),
-            "ok": causal.meets_one_way_bound(ta_p, tb_p, r_p, strict=strict),
+            "bound": bounds.ta_tb_min_one_way(p.r),
+            "ok": causal.meets_one_way_bound(p.t_a, p.t_b, p.r, strict=strict),
         },
         "round_trip": {
-            "bound": bounds.ta_tb_min_round_trip(r_p),
+            "bound": bounds.ta_tb_min_round_trip(p.r),
             "ok": verdict.no_signalling_ok,
             "margin": verdict.margin,
             "explanation": verdict.explanation,
         },
-        "backreaction_free": causal.backreaction_free(tb_p, r_p),
+        "backreaction_free": causal.backreaction_free(p.t_b, p.r),
     }
     provenance = {
         "one_way.bound": "R/c",
@@ -242,9 +224,9 @@ def _cmd_sweep(args) -> int:
     name = args.sweep
     # The swept flag need not be given (nor --r for eta), but is read if it is.
     swept = "r" if name == "eta" else name
-    for needed in ("m_a", "d", "r"):
-        if needed != swept and getattr(args, needed) is None:
-            raise InvalidInputError(f"missing required parameter --{needed.replace('_', '-')}")
+    for f in _REQUIRED_FLAGS:
+        if f.name != swept and getattr(args, f.flag[2:].replace("-", "_")) is None:
+            raise InvalidInputError(f"missing required parameter {f.flag}")
     params, _ = _scenario_from_args(args)
     if name == "eta":
         lo = _parse_bare(args.sweep_from, "eta from")
@@ -254,7 +236,7 @@ def _cmd_sweep(args) -> int:
         grid = _grid(lo, hi, args.points, args.log)
         constants, rows = None, bounds.eta_series(m_eff, params.d, grid)
     else:
-        kind = _QUANTITY_FLAGS[name]
+        kind = _SWEPT_FIELDS[name]
         lo, _ = _parse_quantity("--from", args.sweep_from, kind, args.units)
         hi, _ = _parse_quantity("--to", args.to, kind, args.units)
         provenance = bounds.report_provenance(params.coupling, args.model)
@@ -278,7 +260,7 @@ def _cmd_simulate(args) -> int:
 
     dynamics._check_eps(args.eps)
     params, _ = _scenario_from_args(args)
-    sigma0 = _read_quantities(args, ("sigma0",))[0]["sigma0"]
+    sigma0, _ = _parse_quantity("--sigma0", args.sigma0, "length", args.units)
     _check_positive("sigma0", "length", sigma0)
     if args.steps < 1:
         raise InvalidInputError(f"steps must be >= 1, got {args.steps}")
@@ -315,18 +297,20 @@ def _add_units_flags(sp) -> None:
     sp.add_argument("--out", default=None, help="write output bytes to this file")
 
 
-def _add_scenario_flags(sp, required: tuple[str, ...] = ()) -> None:
-    sp.add_argument("--m-a", required="m_a" in required, help="source mass")
-    sp.add_argument("--m-b", default="1mp", help="probe mass (default 1mp)")
-    sp.add_argument("--d", required="d" in required, help="path separation")
-    sp.add_argument("--r", required="r" in required, help="source-probe distance")
+def _add_field_flags(sp, fields, required) -> None:
+    """A flag for each field table row in fields; those in required must be given."""
+    for f in fields:
+        sp.add_argument(f.flag, required=f in required, default=f.default, help=f.help,
+                        type=None if f.kind in KINDS else float)
+
+
+def _add_scenario_flags(sp, required=()) -> None:
+    """The flags of every field but the times, which causal alone reads,
+    with --coupling after those of the fields a sweep may vary."""
+    _add_field_flags(sp, [f for f in _FIELDS if f.name in _SWEPT_FIELDS], required)
     sp.add_argument("--coupling", choices=[k.value for k in CouplingKind], default="gravity")
-    sp.add_argument("--q-a", default=None, help="source charge (coulomb)")
-    sp.add_argument("--q-b", default=None, help="probe charge (coulomb)")
-    sp.add_argument("--dx-min", default=None,
-                    help="trap confinement floor (default 1lp for gravity)")
-    sp.add_argument("--r-over-d-min", type=float, default=100.0,
-                    help="far-field validity threshold for R/d")
+    rest = [f for f in _FIELDS if f.name not in _SWEPT_FIELDS and f.kind != "time"]
+    _add_field_flags(sp, rest, required)
     sp.add_argument("--override-geometry", action="store_true",
                     help="evaluate far-field formulas even when R/d is below the threshold")
 
@@ -357,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="JSON feasibility report for one scenario")
-    _add_scenario_flags(b, required=("m_a", "d", "r"))
+    _add_scenario_flags(b, _REQUIRED_FLAGS)
     b.add_argument("--model", choices=tuple(bounds._ROWS), default="both")
     b.add_argument("--slack", type=float, default=1.0,
                    help="multiplier on the displacement target (default 1)")
@@ -377,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_sweep)
 
     m = sub.add_parser("simulate", help="CSV time series from the wavepacket or phase oracle")
-    _add_scenario_flags(m, required=("m_a", "d", "r"))
+    _add_scenario_flags(m, _REQUIRED_FLAGS)
     m.add_argument("--model", choices=("displacement", "phase"), required=True)
     m.add_argument("--t-max", required=True,
                    help="series end time, or 'auto' for the model's orthogonalization time")
@@ -389,9 +373,9 @@ def _build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=_cmd_simulate)
 
     c = sub.add_parser("causal", help="JSON timing verdict and event table")
-    c.add_argument("--t-a", required=True, help="interferometer duration")
-    c.add_argument("--t-b", required=True, help="probe measurement duration")
-    c.add_argument("--r", required=True, help="source-probe distance")
+    # causal reads the times and r alone, and needs each of them.
+    timing = [f for f in _FIELDS if f.kind == "time"] + [f for f in _FIELDS if f.name == "r"]
+    _add_field_flags(c, timing, timing)
     c.add_argument("--non-strict", action="store_true",
                    help="count the exact boundary as satisfying the bounds")
     _add_units_flags(c)

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from enum import Enum
 
 from .errors import InvalidInputError, NonFiniteError
+from .units import KINDS
 
 # Every numeric check's bound: NaN, +-inf and ints beyond it fail 0.0 < x <= _MAX.
 _MAX = sys.float_info.max
@@ -54,31 +56,44 @@ def _nonnegative(name: str, kind: str, x: float) -> float:
     return float(x)
 
 
-# The fields a sweep varies, with the kind their error messages name.  No
-# check in ScenarioParams.__post_init__ reads two of them together, or one
-# of them with another field, which is what makes replace_swept sound.
-_SWEPT_FIELDS = {"m_a": "mass", "m_b": "mass", "d": "length", "r": "length"}
-
-# The fields that may be None, the kind their errors name, and their check.
-_OPTIONAL_FIELDS = (("q_a", "charge", _check_positive), ("q_b", "charge", _check_positive),
-                    ("delta_x_min", "length", _check_positive),
-                    ("t_a", "time", _nonnegative), ("t_b", "time", _nonnegative))
+# Every numeric field of ScenarioParams, in the order of the scenario flags,
+# then the times.  kind is what the field's errors name; a units.KINDS kind
+# marks a quantity, which the CLI reads with a unit.  check words the error
+# of a value that fails 0.0 < x <= _MAX.  __post_init__ checks, in table
+# order, the fields that may not be None, the coupling, then the others.
+_Field = namedtuple("_Field", "name kind check optional flag default help")
+_FIELDS = (
+    _Field("m_a", "mass", _check_positive, False, "--m-a", None, "source mass"),
+    _Field("m_b", "mass", _check_positive, False, "--m-b", "1mp", "probe mass (default 1mp)"),
+    _Field("d", "length", _check_positive, False, "--d", None, "path separation"),
+    _Field("r", "length", _check_positive, False, "--r", None, "source-probe distance"),
+    _Field("q_a", "charge", _check_positive, True, "--q-a", None, "source charge (coulomb)"),
+    _Field("q_b", "charge", _check_positive, True, "--q-b", None, "probe charge (coulomb)"),
+    _Field("delta_x_min", "length", _check_positive, True, "--dx-min", None,
+           "trap confinement floor (default 1lp for gravity)"),
+    _Field("r_over_d_min", "ratio", _check_positive, False, "--r-over-d-min", 100.0,
+           "far-field validity threshold for R/d"),
+    _Field("t_a", "time", _nonnegative, True, "--t-a", None, "interferometer duration"),
+    _Field("t_b", "time", _nonnegative, True, "--t-b", None, "probe measurement duration"),
+)
+# A sweep varies a quantity that may not be None.  No check in __post_init__
+# reads two of them together, or one of them with another field, which is
+# what makes replace_swept sound.
+_SWEPT_FIELDS = {f.name: f.kind for f in _FIELDS if not f.optional and f.kind in KINDS}
 
 
 class ScenarioParams:
     """One source/probe configuration.
 
-    m_a is the interfered source mass, m_b the probe mass, d the path
-    separation, r the source-probe distance.  coupling is a CouplingKind or
-    its value, "gravity" or "coulomb", and is stored as a CouplingKind.  q_a
-    and q_b are charges and are required for coulomb coupling.  delta_x_min
-    is the smallest trap confinement the probe can start from; it defaults
-    to one Planck length for gravity and must be supplied explicitly for
-    coulomb.  r_over_d_min is the ratio threshold standing in for the
-    far-field requirement r >> d.  t_a and t_b are optional interferometer
-    and probe measurement durations consumed by the causal timeline.
-    override_geometry allows evaluating far-field formulas even when
-    r/d < r_over_d_min.
+    _FIELDS names each numeric field, its kind and its check; m_a is the
+    interfered source mass.  coupling is a CouplingKind or its value,
+    "gravity" or "coulomb", and is stored as a CouplingKind; q_a and q_b
+    are required for coulomb coupling.  delta_x_min, the smallest trap
+    confinement the probe can start from, defaults to one Planck length for
+    gravity and must be supplied explicitly for coulomb.  r_over_d_min
+    stands in for the far-field requirement r >> d, and override_geometry
+    allows evaluating far-field formulas even when r/d < r_over_d_min.
+    Only the causal timeline reads t_a and t_b.
 
     Instances are frozen, equal when their classes and fields are, and
     hash as the tuple of their fields.  The fields live in the instance
@@ -101,19 +116,19 @@ class ScenarioParams:
 
     def __post_init__(self) -> None:
         fields, top = self.__dict__, _MAX
-        for name, kind in (*_SWEPT_FIELDS.items(), ("r_over_d_min", "ratio")):
-            if not 0.0 < fields[name] <= top:
-                _check_positive(name, kind, fields[name])
+        for f in _FIELDS:
+            if not f.optional and not 0.0 < fields[f.name] <= top:
+                f.check(f.name, f.kind, fields[f.name])
         try:
             object.__setattr__(self, "coupling", CouplingKind(self.coupling))
         except ValueError:
             raise InvalidInputError(f"unknown coupling {self.coupling!r}") from None
         if self.coupling is CouplingKind.COULOMB and (self.q_a is None or self.q_b is None):
             raise InvalidInputError("coulomb coupling requires q_a and q_b")
-        for name, kind, check in _OPTIONAL_FIELDS:
-            value = fields[name]
-            if value is not None and not 0.0 < value <= top:
-                check(name, kind, value)
+        for f in _FIELDS:
+            value = fields[f.name]
+            if f.optional and value is not None and not 0.0 < value <= top:
+                f.check(f.name, f.kind, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

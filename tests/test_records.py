@@ -1,14 +1,16 @@
 """The plain result records: read by name, immutable, equal by value,
 picklable, and printed as Name(field=value, ...)."""
 
+import inspect
 import math
 import pickle
 
 import pytest
 
-from interferobounds import bounds, causal, dynamics
+from interferobounds import bounds, causal, dynamics, scenario
 from interferobounds.errors import InvalidInputError
 from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
+from interferobounds.units import KINDS
 
 from scenario_copy import validated_copy
 
@@ -84,6 +86,19 @@ def test_scenario_params_positional_keyword_and_defaults():
                          ((1e9, 1e4, 1e8), {"m_c": 1.0}), ((1e9, 1e4, 1e8), {"d": 1.0})):
         with pytest.raises(TypeError):
             ScenarioParams(*args, **kwargs)
+
+
+def test_field_table_holds_each_numeric_parameter_once():
+    # The table lists every parameter but the coupling and the geometry
+    # override, marks as optional those whose default is None, and names a
+    # units kind for each, or "ratio" for the bare number r_over_d_min.
+    parameters = inspect.signature(ScenarioParams).parameters
+    numeric = {name: p.default for name, p in parameters.items()
+               if name not in ("coupling", "override_geometry")}
+    table = scenario._FIELDS
+    assert sorted(f.name for f in table) == sorted(numeric)
+    assert {f.name for f in table if f.optional} == {n for n, d in numeric.items() if d is None}
+    assert {f.kind for f in table} <= {*KINDS, "ratio"}
 
 
 def test_scenario_params_coerces_the_coupling():

@@ -127,7 +127,7 @@ def test_coulomb_coupling_convention():
 
 def test_kinds_table_covers_every_quantity_flag():
     # The CLI reads only these kinds, and its unit suffixes come from the table.
-    assert set(cli._QUANTITY_FLAGS.values()) == set(KINDS)
+    assert {f.kind for f in cli._FIELDS} - {"ratio"} == set(KINDS)
     assert set(cli._SUFFIXES) == {"kg", "m", "s", "C", "mp", "lp", "tp"}
 
 
