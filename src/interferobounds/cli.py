@@ -18,7 +18,8 @@ import math
 import os
 import re
 import sys
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 
 from . import __version__, bounds, causal
 from .errors import ConvergenceError, InvalidInputError
@@ -113,20 +114,26 @@ def _envelope(command: str, input_echo: dict, results: dict, provenance: dict) -
     }
 
 
-def _emit(args, text: str) -> None:
-    data = text.encode("utf-8")
+def _emit(args, blocks) -> None:
+    """Write blocks, a text or a list of encoded blocks, to --out or stdout,
+    one write a block."""
+    if isinstance(blocks, str):
+        blocks = [blocks.encode("utf-8")]
     out = getattr(args, "out", None)
     try:
         if out:
             with open(out, "wb") as fh:
-                fh.write(data)
+                for block in blocks:
+                    fh.write(block)
         elif sys.stdout is None:  # fd 1 was closed when Python started
             raise OSError("stdout is closed")
         elif hasattr(sys.stdout, "buffer"):
-            sys.stdout.buffer.write(data)
+            for block in blocks:
+                sys.stdout.buffer.write(block)
             sys.stdout.buffer.flush()
         else:  # a text stream without a binary buffer, such as io.StringIO
-            sys.stdout.write(text)
+            for block in blocks:
+                sys.stdout.write(block.decode("utf-8"))
             sys.stdout.flush()
     except OSError as exc:
         target = f"--out {out!r}" if out else "stdout"
@@ -141,22 +148,142 @@ def _json(payload: dict) -> str:
         raise ArithmeticError("a result is infinite or NaN") from None
 
 
-def _csv(comments: list[str], header: list[str], rows, constants=None) -> str:
-    """CSV text, or ArithmeticError if a value is infinite or NaN.
+# Lines in one CSV block: the rows are formatted, scanned and encoded a
+# block at a time, and a series is split only into parts of whole blocks.
+_BLOCK = 4096
+
+
+def _head(comments: list[str], header: list[str]) -> bytes:
+    """The comment lines and the header line of a CSV, encoded."""
+    return "".join([f"# {c}\n" for c in comments] + [",".join(header), "\n"]).encode("utf-8")
+
+
+class _NonFinite(ArithmeticError):
+    """A CSV value is infinite or NaN, and no row raised an error."""
+
+
+def _csv(header: list[str], rows, constants=None) -> list[bytes]:
+    """The rows, as encoded blocks of _BLOCK lines, or _NonFinite if a value
+    is infinite or NaN.
 
     constants maps the columns that hold one value on every row to that
     value, which is formatted once, into the row template; each row then
-    holds the other columns only.  The formatted body is held whole until
-    the scan passes, which is what keeps such a CSV from being written at
-    all."""
+    holds the other columns only.  Each block is scanned before it is kept,
+    and none is written until all have passed: that keeps such a CSV from
+    being written at all."""
     constants = constants or {}
-    template = ",".join([_fmt(constants[c]) if c in constants else _NUMBER for c in header])
-    body = "\n".join([template % row for row in rows])
-    # A finite number written with _NUMBER holds no letter n; inf and nan do.
-    if "n" in body:
-        raise ArithmeticError("a CSV value is infinite or NaN")
-    lines = [f"# {c}" for c in comments]
-    return "\n".join([*lines, ",".join(header), body, ""])
+    line = ",".join([_fmt(constants[c]) if c in constants else _NUMBER for c in header]) + "\n"
+    rows, blocks = iter(rows), []
+    while text := "".join([line % row for row in islice(rows, _BLOCK)]):
+        # A finite number written with _NUMBER holds no letter n; inf and nan do.
+        if "n" in text:
+            for _ in rows:  # an error a later row raises comes first
+                pass
+            raise _NonFinite("a CSV value is infinite or NaN")
+        blocks.append(text.encode("utf-8"))
+    return blocks
+
+
+def _finite(part, start: int, stop: int) -> list[bytes] | None:
+    """part(start, stop), or None if a value in it is infinite or NaN."""
+    try:
+        return part(start, stop)
+    except _NonFinite:
+        return None
+
+
+def _part_count(rows: int) -> int:
+    """How many parts a series of rows is computed in: one per CPU this
+    process may use, each of at least one block.  One where a child cannot
+    be forked safely: without os.fork, or beside a second thread, which the
+    child would lack.  As CPython's own fork warning does on Linux, the
+    threads are counted in /proc, so those of a native library count too."""
+    if rows < 2 * _BLOCK or not hasattr(os, "fork"):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) > 1:
+            return 1
+        return min(len(os.sched_getaffinity(0)), rows // _BLOCK)
+    except (AttributeError, OSError):
+        return 1
+
+
+def _fork(part, start: int, stop: int, children: dict) -> int | None:
+    """A child that sends the blocks of part(start, stop) down a pipe and
+    exits 0, or sends nothing and exits 1 if the part raises: its pid, with
+    the read end of its pipe entered in children.  None if no child can be
+    started."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        # The child never returns: whatever happens, it ends here, without
+        # running the caller's handlers or flushing the stdout it shares.
+        code = 1
+        try:
+            for fd in (read, *children.values()):
+                os.close(fd)
+            blocks = part(start, stop)
+            with open(write, "wb") as pipe:
+                for block in blocks:
+                    pipe.write(block)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    children[pid] = read
+    return pid
+
+
+def _collect(pid: int, children: dict) -> list[bytes] | None:
+    """The bytes child pid sent, in pieces, or None if it failed; reaps it
+    and closes its pipe."""
+    read, pieces = children[pid], []
+    while piece := os.read(read, 1 << 16):
+        pieces.append(piece)
+    _, status = os.waitpid(pid, 0)
+    os.close(read)
+    del children[pid]
+    return pieces if status == 0 else None
+
+
+def _split(rows: int, part) -> list[bytes]:
+    """The blocks of part(0, rows), computed in contiguous parts by row
+    index, one per CPU this process may use (see _part_count).
+
+    part(start, stop) lays out and formats rows start to stop - 1 alone.
+    The first part runs here, each later one in a forked child.  A child
+    that fails has its part run here again, so the error of the first row
+    in row order that raises one is raised, and else that of an infinite or
+    NaN value, as one part would.  No child outlives this call."""
+    parts = _part_count(rows)
+    if parts == 1:
+        return part(0, rows)
+    edges = [rows * k // parts for k in range(parts + 1)]
+    children: dict = {}
+    try:
+        later = [(start, stop, _fork(part, start, stop, children))
+                 for start, stop in zip(edges[1:-1], edges[2:])]
+        results = [_finite(part, 0, edges[1])]
+        for start, stop, pid in later:
+            pieces = None if pid is None else _collect(pid, children)
+            # No child, or one that failed: the part again, here.
+            results.append(_finite(part, start, stop) if pieces is None else pieces)
+    finally:
+        for pid, read in children.items():  # only after an error: stop the rest
+            os.close(read)
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    if None in results:
+        raise _NonFinite("a CSV value is infinite or NaN")
+    return [block for blocks in results for block in blocks]
 
 
 def _cmd_bounds(args) -> int:
@@ -201,22 +328,26 @@ def _cmd_causal(args) -> int:
     return 0
 
 
-def _grid(lo: float, hi: float, points: int, log: bool):
-    """points values from exactly lo to exactly hi, evenly spaced on a
-    linear or log scale; between finite ends >= 0, none overflows."""
+def _grid(lo: float, hi: float, points: int, log: bool, start: int = 0, stop: int | None = None):
+    """Points start to stop - 1, by default all, of points values from
+    exactly lo to exactly hi, evenly spaced on a linear or log scale.  Point
+    i is the same expression whichever points are laid out; between finite
+    ends >= 0, none overflows."""
     if points < 2:
         raise InvalidInputError(f"points must be >= 2, got {points}")
     if not lo < hi:
         raise InvalidInputError(f"sweep needs from < to, got {lo!r} .. {hi!r}")
     n = points - 1
+    stop = points if stop is None else stop
+    indices = range(max(start, 1), min(stop, n))
     if not log:
-        inner = (lo + (hi - lo) * (i / n) for i in range(1, n))
+        inner = (lo + (hi - lo) * (i / n) for i in indices)
     elif lo <= 0.0:
         raise InvalidInputError("log scale requires from > 0")
     else:
         la, lb = math.log10(lo), math.log10(hi)
-        inner = (10.0 ** (la + i * (lb - la) / n) for i in range(1, n))
-    return chain((lo,), inner, (hi,))
+        inner = (10.0 ** (la + i * (lb - la) / n) for i in indices)
+    return chain((lo,) if start <= 0 < stop else (), inner, (hi,) if start <= n < stop else ())
 
 
 def _cmd_sweep(args) -> int:
@@ -233,17 +364,24 @@ def _cmd_sweep(args) -> int:
         hi = _parse_bare(args.to, "eta to")
         provenance = dict(bounds.ETA_COLUMNS)
         m_eff = params.effective_source_mass
-        grid = _grid(lo, hi, args.points, args.log)
-        constants, rows = None, bounds.eta_series(m_eff, params.d, grid)
+
+        def series(grid):
+            return None, bounds.eta_series(m_eff, params.d, grid)
     else:
         kind = _SWEPT_FIELDS[name]
         lo, _ = _parse_quantity("--from", args.sweep_from, kind, args.units)
         hi, _ = _parse_quantity("--to", args.to, kind, args.units)
         provenance = bounds.report_provenance(params.coupling, args.model)
-        grid = _grid(lo, hi, args.points, args.log)
+
         # The columns that do not read the swept field are evaluated and
-        # formatted once; each row carries the others.
-        constants, rows = bounds.report_series(params, args.model, args.slack, name, grid)
+        # formatted once a part; each row carries the others.
+        series = partial(bounds.report_series, params, args.model, args.slack, name)
+
+    header = [name, *provenance]
+
+    def part(start, stop):
+        constants, rows = series(_grid(lo, hi, args.points, args.log, start, stop))
+        return _csv(header, rows, constants)
 
     comments = [
         f"interferobounds {__version__}",
@@ -251,7 +389,7 @@ def _cmd_sweep(args) -> int:
         f"scale {'log' if args.log else 'linear'} (planck units)",
     ]
     comments.extend(f"provenance: {c} = {f}" for c, f in provenance.items())
-    _emit(args, _csv(comments, [name, *provenance], rows, constants))
+    _emit(args, [_head(comments, header), *_split(args.points, part)])
     return 0
 
 
@@ -275,7 +413,7 @@ def _cmd_simulate(args) -> int:
 
     if not math.isfinite(t_max):
         raise ArithmeticError(f"the time grid to t-max {t_max!r} in {args.steps} steps overflows")
-    times = [0.0] if t_max == 0.0 else _grid(0.0, t_max, args.steps + 1, False)
+    rows = 1 if t_max == 0.0 else args.steps + 1
     comments = [
         f"interferobounds {__version__}",
         f"simulate {args.model} t_max {_fmt(t_max)} steps {args.steps} (planck units)",
@@ -283,11 +421,16 @@ def _cmd_simulate(args) -> int:
     if args.model == "displacement":
         header = ["t", "mean_x_l", "mean_x_r", "sigma_x", "overlap_magnitude"]
         comments.append("positive x points from the probe toward the source")
-        rows = dynamics.displacement_series(params, sigma0, times)
+        series = partial(dynamics.displacement_series, params, sigma0)
     else:
         header = ["t", "delta_phi", "overlap_magnitude"]
-        rows = dynamics.phase_series(params, times)
-    _emit(args, _csv(comments, header, rows))
+        series = partial(dynamics.phase_series, params)
+
+    def part(start, stop):
+        times = (0.0,) if t_max == 0.0 else _grid(0.0, t_max, rows, False, start, stop)
+        return _csv(header, series(times))
+
+    _emit(args, [_head(comments, header), *_split(rows, part)])
     return 0
 
 

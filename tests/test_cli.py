@@ -980,10 +980,11 @@ def test_row_template_matches_number_format(value):
     text = _old_fmt(value)
     assert cli._fmt(value) == text
     if math.isfinite(value):
-        assert cli._csv(["c"], ["a", "b"], [(value, -1.5)]) == f"# c\na,b\n{text},-1.5\n"
+        csv = cli._head(["c"], ["a", "b"]) + b"".join(cli._csv(["a", "b"], [(value, -1.5)]))
+        assert csv == f"# c\na,b\n{text},-1.5\n".encode()
     else:
         with pytest.raises(ArithmeticError):
-            cli._csv(["c"], ["a", "b"], [(1.0, 2.0), (value, 1.0)])
+            cli._csv(["a", "b"], [(1.0, 2.0), (value, 1.0)])
 
 
 # --- simulate semantics ---------------------------------------------------------
