@@ -163,6 +163,8 @@ def evolve_constant_force(
     Means follow the classical trajectory; the covariance is propagated by
     the free symplectic map (a uniform force displaces but never reshapes a
     Gaussian); the phase advances by the classical action of the mean path.
+    The map is exact and state is valid, so an evolved state that fails
+    validation was made invalid by rounding: that is an ArithmeticError.
     """
     if not (0.0 <= t <= _MAX and 0.0 < m <= _MAX):
         _nonnegative("t", "time", t)
@@ -180,7 +182,12 @@ def evolve_constant_force(
         + p0 * force * t * t / m
         + force * force * t ** 3 / (3.0 * m)
     )
-    return GaussianState(mean_x, mean_p, new_cov, state.phase + action)
+    try:
+        return GaussianState(mean_x, mean_p, new_cov, state.phase + action)
+    except ArithmeticError:
+        raise
+    except InvalidInputError as exc:  # such as tau*tau underflowing where tau*spp does not
+        raise ArithmeticError(f"rounding made the evolved state invalid: {exc}") from None
 
 
 def _complex_width(s: GaussianState) -> complex:

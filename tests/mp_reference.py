@@ -1,19 +1,20 @@
-"""50-digit mpmath values of the feasibility report's numeric fields, the
-eta-sweep columns, the exact differential phase, the displacement
-series' columns and the time their overlap falls to eps.
+"""50-digit mpmath values, on the exact values of the input doubles, of
+every printed provenance formula, the exact differential phase, the
+displacement series' columns and the time their overlap falls to eps.
 
-Each value is written from its provenance formula in `bounds._REPORT`,
-`bounds.ETA_COLUMNS`, the `phase_difference` docstring or the physics of
-`dynamics.displacement_series` (free spreading, uniform acceleration and
-the overlap of two displaced Gaussians) and evaluated on
-the exact values of the input doubles, so it shares no rounding with the
-product.  Booleans are left out: they compare these numbers.
+The formulas printed by `bounds.report_provenance`, `bounds.ETA_COLUMNS`
+and `causal` are parsed with sympy and evaluated as printed, booleans
+included.  The others follow the `phase_difference` docstring and the
+physics of `dynamics.displacement_series`.
 """
 
+import functools
 import math
 
 import mpmath
+import sympy
 
+from interferobounds import bounds
 from interferobounds.scenario import CouplingKind, ScenarioParams
 
 DIGITS = 50
@@ -26,41 +27,40 @@ def _strengths(p: ScenarioParams) -> tuple:
     return mpmath.mpf(p.m_a), mpmath.mpf(p.m_b)
 
 
-def report_reference(p: ScenarioParams, slack: float) -> dict:
-    """{field: mpf} for every numeric field of the model "both" report."""
+@functools.cache
+def _compiled(formula: str) -> tuple:
+    expr = sympy.sympify(formula)
+    names = sorted(map(str, expr.free_symbols))
+    return names, sympy.lambdify(names, expr, "mpmath")
+
+
+def provenance_reference(provenance: dict, inputs: dict) -> dict:
+    """{field: mpf, or bool for a comparison} for each formula in order, with
+    c = m_P = q_P = 1, each input that is not None and each earlier field
+    bound to its exact value.  An unbound symbol is a KeyError."""
     with mpmath.workdps(DIGITS):
-        mpf = mpmath.mpf
-        m_b, d, r, slack = map(mpf, (p.m_b, p.d, p.r, slack))
+        env = {"c": 1, "m_P": 1, "q_P": 1, **inputs}
+        env = {name: mpmath.mpf(x) for name, x in env.items() if x is not None}
+        for field, formula in provenance.items():
+            names, fn = _compiled(formula)
+            env[field] = fn(*[env[name] for name in names])
+        return {field: env[field] for field in provenance}
+
+
+def report_reference(p: ScenarioParams, slack: float, provenance=None) -> dict:
+    """The "both" report's printed provenance, or the given one, at p and slack."""
+    with mpmath.workdps(DIGITS):  # K = src*prb exactly
         src, prb = _strengths(p)
-        dx = mpf(1 if p.delta_x_min is None else p.delta_x_min)
-        k = src * prb
-        source = k / m_b
-        return {
-            "tb_displacement": mpmath.sqrt(2 * slack * dx * m_b * r ** 3 / (k * d)),
-            "ta_min_round_trip": mpf(16) / 27 * source * d,
-            "ta_min_one_way": mpf(2) / 27 * source * d,
-            "r_max_displacement": source * d / (2 * slack),
-            "tb_phase_exact": mpmath.pi * r * (r + d) / (k * d),
-            "tb_phase_approx": mpmath.pi * r ** 2 / (k * d),
-            "r_max_phase": k * d / mpmath.pi,
-            "source_planck_ratio": src,
-            "probe_planck_ratio": prb,
-            "pair_planck_ratio": k,
-        }
+        inputs = {"m_A": p.m_a, "m_B": p.m_b, "q_A": p.q_a, "q_B": p.q_b, "K": src * prb,
+                  "d": p.d, "R": p.r, "slack": slack, "r_over_d_min": p.r_over_d_min,
+                  "dx_min": 1 if p.delta_x_min is None else p.delta_x_min}
+        return provenance_reference(provenance or bounds.report_provenance(p.coupling), inputs)
 
 
 def eta_reference(eta: float, m_a: float, d: float) -> dict:
-    """{column: mpf} for every `bounds.ETA_COLUMNS` column at fraction eta."""
-    with mpmath.workdps(DIGITS):
-        eta, m_a, d = map(mpmath.mpf, (eta, m_a, d))
-        tb = 4 * eta ** 3 * m_a * d
-        ta = 4 * (eta ** 2 - eta ** 3) * m_a * d
-        return {
-            "tb_eta": tb,
-            "ta_lower_bound": ta,
-            "ta_tb_total": tb + ta,
-            "r_implied": 2 * eta ** 2 * m_a * d,
-        }
+    """`bounds.ETA_COLUMNS` at eta; m_a is eta_series' K/m_B (K = m_a, m_B = 1)."""
+    inputs = {"eta": eta, "K": m_a, "m_B": 1, "d": d}
+    return provenance_reference(dict(bounds.ETA_COLUMNS), inputs)
 
 
 def phase_reference(p: ScenarioParams, t: float):

@@ -466,6 +466,12 @@ _OUT_OF_RANGE = [
       "--override-geometry", "--model", "displacement", "--t-max", "9.228942170527732e-24tp",
       "--steps", "4", "--sigma0", "1.5303858532943347e-127lp"],
      "result outside the floating-point range: state fields must be finite"),
+    # tau*tau underflows to zero in the oracle's evolution, where tau*spp
+    # does not: rounding, not the input, makes the evolved state invalid.
+    (["simulate", "--m-a", "1mp", "--m-b", "6.05e204mp", "--d", "1lp", "--r", "1.2496e23lp",
+      "--coupling", "coulomb", "--q-a", "1.707e63", "--q-b", "7.77e-227", "--override-geometry",
+      "--model", "displacement", "--t-max", "auto", "--steps", "4", "--sigma0", "3.43769e-145lp"],
+     "rounding made the evolved state invalid: covariance must be positive definite"),
     # An SI time beyond the double range in Planck units.
     (["simulate", "--model", "phase", "--m-a", "1mp", "--d", "1lp", "--r", "1e3lp",
       "--t-max", "1e300s", "--steps", "2"], "1e+300 s is not representable in Planck units"),

@@ -85,6 +85,17 @@ def test_state_validation():
         GaussianState(0.0, 0.0, np.array([[0.1, 0.0], [0.0, 0.1]]))
 
 
+def test_state_validation_tolerances():
+    # Asymmetry: 1e-11 is refused and 1e-13 accepted (tolerance 1e-12).
+    with pytest.raises(InvalidInputError, match="symmetric"):
+        GaussianState(0.0, 0.0, ((1.0, 0.1), (0.1 + 1e-11, 1.0)))
+    GaussianState(0.0, 0.0, ((1.0, 0.1), (0.1 + 1e-13, 1.0)))
+    # det = 1/4 less 1e-8 relative is refused and 1e-10 accepted (slack 1e-9).
+    with pytest.raises(InvalidInputError, match="uncertainty floor"):
+        GaussianState(0.0, 0.0, ((0.5, 0.0), (0.0, 0.5 * (1.0 - 1e-8))))
+    GaussianState(0.0, 0.0, ((0.5, 0.0), (0.0, 0.5 * (1.0 - 1e-10))))
+
+
 # --- evolution ---------------------------------------------------------------
 
 
@@ -115,6 +126,16 @@ def test_evolution_rejects_negative_time():
     s = ground_state(1.0, 1.0)
     with pytest.raises(InvalidInputError):
         evolve_constant_force(s, 0.0, 1.0, -0.1)
+
+
+def test_evolution_that_rounding_invalidates_is_an_arithmetic_error():
+    # tau = t/m = 2e-191, so tau*tau underflows to zero where tau*spp =
+    # 4.4e97 does not, and the evolved covariance has a negative determinant.
+    s = ground_state_with_width(6.05e204, 3.43769e-145)
+    with pytest.raises(ArithmeticError, match="rounding made the evolved state invalid: "
+                       "covariance must be positive definite") as raised:
+        evolve_constant_force(s, 0.0, 6.05e204, 1.2496e14)
+    assert not isinstance(raised.value, InvalidInputError)
 
 
 def test_symplectic_determinant_preserved():
