@@ -148,8 +148,8 @@ def _json(payload: dict) -> str:
         raise ArithmeticError("a result is infinite or NaN") from None
 
 
-# Lines in one CSV block: the rows are formatted, scanned and encoded a
-# block at a time, and a series is split only into parts of whole blocks.
+# Lines in one CSV block: the rows are formatted and encoded a block at a
+# time, and a series is split only into parts of whole blocks.
 _BLOCK = 4096
 
 
@@ -158,38 +158,18 @@ def _head(comments: list[str], header: list[str]) -> bytes:
     return "".join([f"# {c}\n" for c in comments] + [",".join(header), "\n"]).encode("utf-8")
 
 
-class _NonFinite(ArithmeticError):
-    """A CSV value is infinite or NaN, and no row raised an error."""
-
-
 def _csv(header: list[str], rows, constants=None) -> list[bytes]:
-    """The rows, as encoded blocks of _BLOCK lines, or _NonFinite if a value
-    is infinite or NaN.
+    """The rows, as encoded blocks of _BLOCK lines.
 
     constants maps the columns that hold one value on every row to that
     value, which is formatted once, into the row template; each row then
-    holds the other columns only.  Each block is scanned before it is kept,
-    and none is written until all have passed: that keeps such a CSV from
-    being written at all."""
+    holds the other columns only."""
     constants = constants or {}
     line = ",".join([_fmt(constants[c]) if c in constants else _NUMBER for c in header]) + "\n"
     rows, blocks = iter(rows), []
     while text := "".join([line % row for row in islice(rows, _BLOCK)]):
-        # A finite number written with _NUMBER holds no letter n; inf and nan do.
-        if "n" in text:
-            for _ in rows:  # an error a later row raises comes first
-                pass
-            raise _NonFinite("a CSV value is infinite or NaN")
         blocks.append(text.encode("utf-8"))
     return blocks
-
-
-def _finite(part, start: int, stop: int) -> list[bytes] | None:
-    """part(start, stop), or None if a value in it is infinite or NaN."""
-    try:
-        return part(start, stop)
-    except _NonFinite:
-        return None
 
 
 def _part_count(rows: int) -> int:
@@ -256,34 +236,36 @@ def _collect(pid: int, children: dict) -> list[bytes] | None:
 
 def _split(rows: int, part) -> list[bytes]:
     """The blocks of part(0, rows), computed in contiguous parts by row
-    index, one per CPU this process may use (see _part_count).
+    index, one per CPU this process may use (see _part_count), or
+    ArithmeticError if a value in them is infinite or NaN.
 
     part(start, stop) lays out and formats rows start to stop - 1 alone.
     The first part runs here, each later one in a forked child.  A child
-    that fails has its part run here again, so the error of the first row
-    in row order that raises one is raised, and else that of an infinite or
-    NaN value, as one part would.  No child outlives this call."""
+    fails only when a row raises; its part then runs here again, so the
+    error of the first row in row order that raises one is raised, as one
+    part would.  Only after every part has run are the blocks scanned,
+    once: a row's error comes before an infinite or NaN value anywhere in
+    the series.  No child outlives this call."""
     parts = _part_count(rows)
-    if parts == 1:
-        return part(0, rows)
     edges = [rows * k // parts for k in range(parts + 1)]
     children: dict = {}
     try:
         later = [(start, stop, _fork(part, start, stop, children))
                  for start, stop in zip(edges[1:-1], edges[2:])]
-        results = [_finite(part, 0, edges[1])]
+        blocks = part(0, edges[1])
         for start, stop, pid in later:
             pieces = None if pid is None else _collect(pid, children)
             # No child, or one that failed: the part again, here.
-            results.append(_finite(part, start, stop) if pieces is None else pieces)
+            blocks += part(start, stop) if pieces is None else pieces
     finally:
         for pid, read in children.items():  # only after an error: stop the rest
             os.close(read)
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-    if None in results:
-        raise _NonFinite("a CSV value is infinite or NaN")
-    return [block for blocks in results for block in blocks]
+    # A finite number written with _NUMBER holds no letter n; inf and nan do.
+    if any(b"n" in block for block in blocks):
+        raise ArithmeticError("a CSV value is infinite or NaN")
+    return blocks
 
 
 def _cmd_bounds(args) -> int:

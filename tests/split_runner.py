@@ -5,11 +5,12 @@ print what each gave as one JSON list.
 
 Each case is {"argv": [...], "cpus": [1, 2, ...], "out": a path or null,
 "thread": true to keep a second thread alive meanwhile}.  Each run gives
-{"code", "stdout", "forks", "children_left", "out"}: stdout is the text
-of a failed run and the SHA-256 of a good one's bytes; forks counts the
-children cli forked; children_left is whether any child of this process
-was left unreaped; out is the SHA-256 of the --out file, or null if
-there is none (the file is removed after each run).
+{"code", "stdout", "forks", "csv_calls", "children_left", "out"}: stdout
+is the text of a failed run and the SHA-256 of a good one's bytes; forks
+counts the children cli forked; csv_calls counts the parts cli._csv
+formatted in this process, not in a child; children_left is whether any
+child of this process was left unreaped; out is the SHA-256 of the --out
+file, or null if there is none (the file is removed after each run).
 
 tests/test_csv_split.py runs it in a fresh interpreter: a series is split
 only in a process without a second thread, and the test process has
@@ -32,8 +33,9 @@ def _digest(data: bytes) -> str:
 
 def run(argv: list[str], cpus: int, out: str | None = None) -> dict:
     """cli.main(argv) with os.sched_getaffinity giving cpus CPUs."""
-    forks = []
-    real_fork, real_affinity, saved = os.fork, os.sched_getaffinity, sys.stdout
+    forks, csv_calls = [], []
+    real_fork, real_affinity, real_csv = os.fork, os.sched_getaffinity, cli._csv
+    saved = sys.stdout
 
     def fork():
         pid = real_fork()
@@ -41,14 +43,20 @@ def run(argv: list[str], cpus: int, out: str | None = None) -> dict:
             forks.append(pid)
         return pid
 
-    os.fork, os.sched_getaffinity = fork, lambda pid: set(range(cpus))
+    def csv(*args, **kwargs):
+        # A forked child appends to its own copy of the list.
+        csv_calls.append(None)
+        return real_csv(*args, **kwargs)
+
+    os.fork, os.sched_getaffinity, cli._csv = fork, lambda pid: set(range(cpus)), csv
     sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     try:
         code = cli.main([*argv, *(["--out", out] if out else [])])
         sys.stdout.flush()
         stdout = sys.stdout.buffer.getvalue()
     finally:
-        os.fork, os.sched_getaffinity, sys.stdout = real_fork, real_affinity, saved
+        os.fork, os.sched_getaffinity, cli._csv, sys.stdout = (
+            real_fork, real_affinity, real_csv, saved)
     try:
         os.waitpid(-1, os.WNOHANG)
         left = True
@@ -60,7 +68,8 @@ def run(argv: list[str], cpus: int, out: str | None = None) -> dict:
             written = _digest(fh.read())
         os.remove(out)
     return {"code": code, "stdout": _digest(stdout) if code == 0 else stdout.decode(),
-            "forks": len(forks), "children_left": left, "out": written}
+            "forks": len(forks), "csv_calls": len(csv_calls), "children_left": left,
+            "out": written}
 
 
 def run_case(case: dict) -> list[dict]:

@@ -990,7 +990,7 @@ def test_row_template_matches_number_format(value):
         assert csv == f"# c\na,b\n{text},-1.5\n".encode()
     else:
         with pytest.raises(ArithmeticError):
-            cli._csv(["a", "b"], [(1.0, 2.0), (value, 1.0)])
+            cli._split(2, lambda start, stop: cli._csv(["a", "b"], [(1.0, 2.0), (value, 1.0)]))
 
 
 # --- simulate semantics ---------------------------------------------------------

@@ -131,6 +131,8 @@ def test_split_output_equals_one_part_output(series_runs):
         for cpus, run in zip(CPUS, runs):
             assert (run["code"], run["stdout"]) == (0, one["stdout"]), (argv, cpus)
             assert run["forks"] == _forks(rows, cpus), (argv, cpus)
+            # Only part 0 is formatted here; no child's part is run again.
+            assert run["csv_calls"] == 1, (argv, cpus)
 
 
 def test_every_size_and_cpu_count_is_covered(series_runs):
@@ -148,7 +150,7 @@ def test_late_error_lies_in_the_last_part(name, monkeypatch, capsys):
     probed = []
 
     def probe(rows, part):
-        probed.append(cli._finite(part, 0, 3 * rows // 4) is not None)
+        probed.append(not any(b"n" in b for b in part(0, 3 * rows // 4)))
         return split(rows, part)
 
     monkeypatch.setattr(cli, "_split", probe)
@@ -169,10 +171,14 @@ def test_an_error_in_a_later_part_is_the_one_part_error(late_error_runs):
         error = json.loads(one["stdout"])
         assert list(error) == ["error"] and error["error"]["code"] == code
         assert error["error"]["message"].startswith(message)
+        # Part 0 is formatted here, and a later part again only if its child
+        # failed, which only a row error does; only the last part has one.
+        row_error = not message.endswith("a CSV value is infinite or NaN")
         for cpus, run in zip(CPUS, runs):
             assert (run["code"], run["stdout"], run["out"]) == (2, one["stdout"], None), \
                 (name, cpus)
             assert run["forks"] == _forks(rows, cpus), (name, cpus)
+            assert run["csv_calls"] == 1 + (row_error and run["forks"] > 0), (name, cpus)
 
 
 def test_no_child_outlives_main(series_runs, late_error_runs):

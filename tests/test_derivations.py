@@ -1,7 +1,12 @@
-"""The displacement series' closed-form overlap, derived with sympy from
-the two branch wavefunctions and the Gaussian overlap integral."""
+"""Closed forms derived with sympy: the displacement series' overlap, from
+the two branch wavefunctions and the Gaussian overlap integral; and every
+printed bound, from the paper's premises."""
 
+import pytest
 import sympy as sp
+
+from interferobounds import bounds
+from interferobounds.scenario import CouplingKind
 
 x = sp.Symbol("x", real=True)
 t, m, sigma0, force, f_left, f_right = sp.symbols("t m sigma0 F F_l F_r", positive=True)
@@ -66,3 +71,130 @@ def test_factored_forms_are_identities():
     k = sp.Symbol("K", positive=True)
     s = d / (r + d)
     assert sp.simplify(k / r / r * s * (2 - s) - k * (1 / r**2 - 1 / (r + d) ** 2)) == 0
+
+
+# --- the printed bounds, derived from the paper's premises ------------------------
+#
+# In Planck units (c = 1), with K the pair coupling, m_B the probe mass and
+# d the source's branch separation:
+#   P1: the far-field differential acceleration of the probe is (K/m_B)*d/R^3;
+#   P2: a displacement measurement is done at t with a*t^2/2 = slack*dx_min;
+#   P3: a measurement is back-reaction free iff T_B < R/c;
+#   P4: the probe uses a fraction eta of the round-trip budget 2R/c, or of
+#       R/c one way, and the interferometer the rest;
+#   P5: the differential phase K*t*(1/R - 1/(R+d)) reaches pi; its far-field
+#       form is K*t*d/R^2.
+# The eta columns and the T_A floors take the Planck-length target of P2,
+# slack*dx_min = 1.
+
+K, m_B, R, slack, dx_min, eta = sp.symbols("K m_B R slack dx_min eta", positive=True)
+c = sp.Integer(1)
+ACCELERATION = (K / m_B) * d / R**3
+PHASE_EXACT = K * t * (1 / R - 1 / (R + d))
+PHASE_FAR = K * t * d / R**2
+_SYMBOLS = {str(s): s for s in (K, m_B, R, d, slack, dx_min, eta)}
+
+
+def _root(equation, symbol):
+    """The one positive root of equation = 0 in symbol, or nan if there is
+    none or more than one."""
+    roots = sp.solve(equation, symbol)
+    return roots[0] if len(roots) == 1 else sp.nan
+
+
+def _ratio(relation):
+    """lhs/rhs of a strict a < b between positive sides: one form for the
+    relations that hold at the same points."""
+    return relation.lhs / relation.rhs
+
+
+def derived(acceleration=ACCELERATION, phase_far=PHASE_FAR):
+    """{field: expression} of every report field and eta column the premises
+    fix, and the fraction eta* at which each T_A floor is reached."""
+    def displacement_time(target):  # P2
+        return _root(acceleration * t**2 / 2 - target, t)
+
+    def budget(whole):  # P4: R, and the probe's and the interferometer's shares
+        r = _root(displacement_time(1) ** 2 - (eta * whole) ** 2, R)
+        whole = whole.subs(R, r)
+        return r, eta * whole, (1 - eta) * whole
+
+    def floor(ta):  # the largest T_A over eta
+        eta_star = _root(sp.diff(ta, eta), eta)
+        return eta_star, ta.subs(eta, eta_star)
+
+    tb = displacement_time(slack * dx_min)
+    r_implied, tb_eta, ta_lower_bound = budget(2 * R / c)
+    eta_round_trip, ta_round_trip = floor(ta_lower_bound)
+    eta_one_way, ta_one_way = floor(budget(R / c)[2])
+    tb_phase_approx = _root(phase_far - sp.pi, t)
+    return {
+        "tb_displacement": tb,
+        "ta_min_round_trip": ta_round_trip,
+        "ta_min_one_way": ta_one_way,
+        "r_max_displacement": _root(tb - R / c, R),  # P3 at its edge
+        "displacement_backreaction_free": _ratio(tb < R / c),
+        "tb_phase_exact": _root(PHASE_EXACT - sp.pi, t),
+        "tb_phase_approx": tb_phase_approx,
+        "r_max_phase": _root(tb_phase_approx - R / c, R),
+        "phase_backreaction_free": _ratio(tb_phase_approx < R / c),
+        "tb_eta": tb_eta,
+        "ta_lower_bound": ta_lower_bound,
+        "ta_tb_total": 2 * r_implied / c,  # the whole round-trip budget
+        "r_implied": r_implied,
+        "eta*": (eta_round_trip, eta_one_way),
+    }
+
+
+def printed(coupling):
+    """{field: expression} of the report's provenance for coupling and of the
+    eta columns, each sympified as printed, with c = 1 and each field it
+    names bound to that field's printed expression."""
+    env = {**_SYMBOLS, "c": c}
+    for field, text in [*bounds.report_provenance(coupling).items(), *bounds.ETA_COLUMNS]:
+        expr = sp.sympify(text, locals=env)
+        env[field] = _ratio(expr) if isinstance(expr, sp.StrictLessThan) else expr
+    return env
+
+
+_DERIVED = derived()
+_COMPARED = sorted(set(_DERIVED) - {"eta*"})
+_XFAIL = {"r_max_displacement": "the printed radius leaves out dx_min (CHANGES.md FOUND)"}
+
+
+def _agrees(derived_expr, printed_expr):
+    return sp.simplify(derived_expr - printed_expr) == 0
+
+
+@pytest.mark.parametrize("coupling", list(CouplingKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("field", [
+    pytest.param(f, marks=pytest.mark.xfail(strict=True, reason=_XFAIL[f])) if f in _XFAIL else f
+    for f in _COMPARED
+])
+def test_printed_formula_follows_from_the_premises(field, coupling):
+    assert _agrees(_DERIVED[field], printed(coupling)[field]), (field, _DERIVED[field])
+
+
+def test_the_floors_are_reached_at_eta_two_thirds():
+    assert _DERIVED["eta*"] == (sp.Rational(2, 3), sp.Rational(2, 3))
+    assert _DERIVED["ta_min_round_trip"] == sp.Rational(16, 27) * K * d / m_B
+    assert _DERIVED["ta_min_one_way"] == sp.Rational(2, 27) * K * d / m_B
+
+
+def test_the_phase_flag_is_the_far_field_radius():
+    # The exact time's edge of P3 is d*(K - pi)/pi, not the printed K*d/pi.
+    assert _agrees(_root(_root(PHASE_EXACT - sp.pi, t) - R, R), d * (K - sp.pi) / sp.pi)
+    assert not _agrees(d * (K - sp.pi) / sp.pi, _DERIVED["r_max_phase"])
+
+
+@pytest.mark.parametrize("premise, changed", [
+    ({"acceleration": (K / m_B) * d / R**2},
+     {"tb_displacement", "ta_min_round_trip", "ta_min_one_way",
+      "displacement_backreaction_free", "tb_eta", "ta_lower_bound", "ta_tb_total", "r_implied"}),
+    ({"phase_far": K * t / R},
+     {"tb_phase_approx", "r_max_phase", "phase_backreaction_free"}),
+], ids=["R^2-in-P1", "no-d-in-P5"])
+def test_a_doctored_premise_fails_the_comparison(premise, changed):
+    doctored, shown = derived(**premise), printed(CouplingKind.GRAVITY)
+    disagree = {f for f in _COMPARED if not _agrees(doctored[f], shown[f])}
+    assert disagree - set(_XFAIL) == changed
