@@ -390,11 +390,14 @@ def _cmd_simulate(args) -> int:
             t_max = dynamics.orthogonalization_time(params, sigma0, args.eps)
         else:
             t_max = bounds.tb_phase(params, "exact")
+            # The one end time that can be inf or nan: an explicit --t-max
+            # refuses inf, and orthogonalization_time stays below its cap.
+            if not math.isfinite(t_max):
+                raise ArithmeticError(
+                    f"--t-max auto gives a non-finite end time tb_phase = {t_max!r}")
     else:
         t_max, _ = _parse_quantity("--t-max", args.t_max, "time", args.units)
 
-    if not math.isfinite(t_max):
-        raise ArithmeticError(f"the time grid to t-max {t_max!r} in {args.steps} steps overflows")
     rows = 1 if t_max == 0.0 else args.steps + 1
     comments = [
         f"interferobounds {__version__}",
