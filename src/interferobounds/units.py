@@ -76,10 +76,15 @@ def _show(value) -> str:
         return f"an integer of {value.bit_length()} bits"
 
 
+def _check_real(what: str, value) -> None:
+    # A bool is an int, but no quantity.
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InvalidInputError(f"{what} value must be a real number, got {value!r}")
+
+
 def to_planck(value: float, kind: str) -> float:
     """Express a finite real SI value of the given kind in its Planck unit."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InvalidInputError(f"quantity value must be a real number, got {value!r}")
+    _check_real("quantity", value)
     try:
         value = float(value)
     except OverflowError:
@@ -101,6 +106,7 @@ def to_planck(value: float, kind: str) -> float:
 def from_planck(x: float, kind: str) -> float:
     """Inverse of to_planck: the SI value of x Planck units of the given
     kind.  Every Planck unit is below one SI unit, so it cannot overflow."""
+    _check_real("planck", x)
     try:
         x = float(x)
     except OverflowError:  # an int beyond the double range

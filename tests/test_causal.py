@@ -3,13 +3,11 @@ import pytest
 
 from interferobounds.causal import (
     Event,
-    backreaction_free,
     build_timeline,
     causally_precedes,
     check_no_signalling,
     meets_one_way_bound,
 )
-from interferobounds.errors import InvalidInputError
 from interferobounds.scenario import ScenarioParams
 
 
@@ -21,11 +19,6 @@ def test_causally_precedes_null_boundary():
     r = 7.0
     assert causally_precedes(Event(0.0, r), Event(r, 0.0))
     assert not causally_precedes(Event(0.0, r), Event(0.5 * r, 0.0))
-
-
-def test_causally_precedes_reflexive():
-    e = Event(3.2, -1.5)
-    assert causally_precedes(e, e)
 
 
 def test_causal_order_reflexive_transitive_random():
@@ -60,19 +53,6 @@ def test_build_timeline_degenerate_durations():
 def test_build_timeline_margin_arithmetic():
     tl = build_timeline(_params(2.0, 3.0, 2.0))
     assert tl.a_recombine_done.t - tl.a_signal_arrival.t == pytest.approx(1.0)
-
-
-def test_build_timeline_requires_durations():
-    p = ScenarioParams(m_a=1.0, d=1.0, r=1.0)
-    with pytest.raises(InvalidInputError):
-        build_timeline(p)
-
-
-def test_timeline_rejects_nonpositive_r():
-    with pytest.raises(InvalidInputError):
-        _params(0.0, 1.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        _params(-1.0, 1.0, 1.0)
 
 
 def test_no_signalling_ok_case():
@@ -148,22 +128,3 @@ def test_round_trip_verdict_is_the_light_cone_order_of_its_events():
         assert check_no_signalling(p, strict=False).no_signalling_ok == inside, p
         assert check_no_signalling(p).no_signalling_ok == (inside and not null), p
     assert on_cone > 5000
-
-
-def test_gap_region_between_criteria_exists():
-    rng = np.random.default_rng(13)
-    for _ in range(500):
-        r = float(10.0 ** rng.uniform(-2, 4))
-        total = r * float(rng.uniform(1.0000001, 2.0))
-        t_a = 0.5 * total
-        t_b = total - t_a
-        assert meets_one_way_bound(t_a, t_b, r)
-        assert not check_no_signalling(_params(r, t_a, t_b)).no_signalling_ok
-
-
-def test_backreaction_free_strictness():
-    assert backreaction_free(0.99, 1.0)
-    assert not backreaction_free(1.0, 1.0)
-    assert not backreaction_free(2.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        backreaction_free(1.0, 0.0)

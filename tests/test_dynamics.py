@@ -17,12 +17,7 @@ from interferobounds.dynamics import (
     phase_evolution,
     phase_series,
 )
-from interferobounds.errors import (
-    ConvergenceError,
-    GeometryError,
-    InvalidInputError,
-    NonFiniteError,
-)
+from interferobounds.errors import GeometryError, InvalidInputError, NonFiniteError
 from interferobounds.scenario import CouplingKind, ScenarioParams
 
 from scenario_copy import validated_copy
@@ -49,40 +44,11 @@ def _random_pure_state(rng):
 # --- ground state ------------------------------------------------------------
 
 
-def test_ground_state_is_minimum_uncertainty():
-    s = ground_state(1.0, 1.0)
-    assert _det(s.cov) == pytest.approx(0.25, rel=1e-12)
-    assert s.sigma_x == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-    assert s.mean_x == 0.0 and s.mean_p == 0.0 and s.phase == 0.0
-
-
 def test_ground_state_with_width_inverts_sigma():
     for m, sx in ((1.0, 1.0), (3.7, 0.2), (1e6, 1.0)):
         s = ground_state_with_width(m, sx)
         assert s.sigma_x == pytest.approx(sx, rel=1e-12)
         assert _det(s.cov) == pytest.approx(0.25, rel=1e-12)
-
-
-def test_ground_state_width_overflow_is_non_finite():
-    with pytest.raises(NonFiniteError, match="overflows"):
-        ground_state_with_width(1e200, 1e60)
-
-
-def test_ground_state_rejects_nonpositive():
-    with pytest.raises(InvalidInputError):
-        ground_state(0.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        ground_state(1.0, -1.0)
-
-
-def test_state_validation():
-    with pytest.raises(InvalidInputError):
-        GaussianState(0.0, 0.0, np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(InvalidInputError):
-        GaussianState(0.0, 0.0, np.array([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(InvalidInputError):
-        # Below the uncertainty floor.
-        GaussianState(0.0, 0.0, np.array([[0.1, 0.0], [0.0, 0.1]]))
 
 
 def test_state_validation_tolerances():
@@ -99,13 +65,6 @@ def test_state_validation_tolerances():
 # --- evolution ---------------------------------------------------------------
 
 
-def test_evolution_identity():
-    s = ground_state(1.0, 1.0)
-    e = evolve_constant_force(s, 0.0, 1.0, 0.0)
-    assert e.mean_x == s.mean_x and e.mean_p == s.mean_p and e.phase == s.phase
-    assert np.array_equal(e.cov, s.cov)
-
-
 def test_evolution_mean_shift_matches_kinematics():
     s = ground_state(2.0, 1.0)
     e = evolve_constant_force(s, 3.0, 2.0, 1.5)
@@ -120,22 +79,6 @@ def test_free_spreading_formula():
         e = evolve_constant_force(s, 0.0, m, t)
         expected = sigma0 ** 2 + (t / (2.0 * m * sigma0)) ** 2
         assert e.cov[0][0] == pytest.approx(expected, rel=1e-12)
-
-
-def test_evolution_rejects_negative_time():
-    s = ground_state(1.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        evolve_constant_force(s, 0.0, 1.0, -0.1)
-
-
-def test_evolution_that_rounding_invalidates_is_an_arithmetic_error():
-    # tau = t/m = 2e-191, so tau*tau underflows to zero where tau*spp =
-    # 4.4e97 does not, and the evolved covariance has a negative determinant.
-    s = ground_state_with_width(6.05e204, 3.43769e-145)
-    with pytest.raises(ArithmeticError, match="rounding made the evolved state invalid: "
-                       "covariance must be positive definite") as raised:
-        evolve_constant_force(s, 0.0, 6.05e204, 1.2496e14)
-    assert not isinstance(raised.value, InvalidInputError)
 
 
 def test_symplectic_determinant_preserved():
@@ -215,13 +158,6 @@ def test_overlap_matches_matrix_fidelity_form():
         delta = np.array([b.mean_x - a.mean_x, b.mean_p - a.mean_p])
         expected = math.exp(-float(delta @ np.linalg.solve(a.cov, delta)) / 8.0)
         assert abs(overlap(a, b)) == pytest.approx(expected, rel=1e-9)
-
-
-def test_overlap_requires_pure_states():
-    mixed = GaussianState(0.0, 0.0, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    pure = ground_state(1.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        overlap(mixed, pure)
 
 
 # --- split-step Schrodinger cross-check --------------------------------------
@@ -342,20 +278,6 @@ def test_orthogonalization_force_scaling():
     assert t2 == pytest.approx(0.5 * t1, rel=1e-3)
 
 
-def test_orthogonalization_eps_validation():
-    p = ScenarioParams(m_a=1e9, d=1e6, r=1e8)
-    for bad in (0.0, 1.0, -0.2, 2.0):
-        with pytest.raises(InvalidInputError):
-            orthogonalization_time(p, 1.0, bad)
-
-
-def test_orthogonalization_no_convergence():
-    # Coupling so weak that the overlap stays near one out to t = 1e6 R/c.
-    p = ScenarioParams(m_a=1.0, d=1.0, r=1e12, override_geometry=True)
-    with pytest.raises(ConvergenceError):
-        orthogonalization_time(p, 1.0, 0.01)
-
-
 def test_position_only_crossing_matches_analytic_inversion():
     # Momentum contribution removed: compare two states separated by the
     # mean shift only, with the evolved widths and no x-p correlation.
@@ -470,13 +392,6 @@ def test_phase_series_gates_once_and_checks_each_row():
 # --- phase evolution ----------------------------------------------------------
 
 
-def test_phase_evolution_starts_at_unity():
-    p = ScenarioParams(m_a=1.0, m_b=1.0, d=10.0, r=1000.0)
-    rec = phase_evolution(p, 0.0)
-    assert rec.overlap_magnitude == 1.0
-    assert rec.delta_phi == 0.0
-
-
 def test_phase_evolution_orthogonal_at_tb_phase_exact():
     p = ScenarioParams(m_a=1.0, m_b=1.0, d=10.0, r=1000.0)
     t_pi = bounds.tb_phase(p, "exact")
@@ -494,9 +409,3 @@ def test_phase_evolution_matches_two_state_inner_product():
         rec = phase_evolution(p, t)
         expected = abs((np.exp(1j * rec.delta_phi) + 1.0) / 2.0)
         assert rec.overlap_magnitude == pytest.approx(expected, abs=1e-12)
-
-
-def test_phase_evolution_rejects_negative_time():
-    p = ScenarioParams(m_a=1.0, m_b=1.0, d=10.0, r=1000.0)
-    with pytest.raises(InvalidInputError):
-        phase_evolution(p, -1.0)

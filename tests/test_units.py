@@ -25,13 +25,6 @@ T_P_PUBLISHED = 5.391247e-44
 Q_P_PUBLISHED = 1.875546e-18
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_make_quantity_rejects_non_finite(bad):
-    # The SI value handed to to_planck, before any conversion.
-    with pytest.raises(InvalidInputError, match="quantity value must be finite"):
-        to_planck(bad, "time")
-
-
 def test_planck_mass_matches_codata_derivation():
     m_p_ref = math.sqrt(HBAR_REF * C_REF / G_REF)
     assert units._M_P == pytest.approx(m_p_ref, rel=1e-12)
@@ -59,44 +52,10 @@ def test_to_planck_of_planck_mass_is_one():
     assert to_planck(M_P_PUBLISHED, "mass") == pytest.approx(1.0, rel=1e-6)
 
 
-def test_to_planck_zero_and_linearity():
-    assert to_planck(0.0, "charge") == 0.0
-    assert to_planck(2.0 * units._L_P, "length") == pytest.approx(2.0, rel=1e-12)
-
-
 def test_from_planck_base_units():
     assert from_planck(1.0, "length") == pytest.approx(L_P_PUBLISHED, rel=1e-6)
     assert from_planck(1.0, "time") == pytest.approx(T_P_PUBLISHED, rel=1e-6)
     assert from_planck(1.0, "mass") == pytest.approx(M_P_PUBLISHED, rel=1e-6)
-
-
-def test_from_planck_rejects_non_finite():
-    with pytest.raises(InvalidInputError, match="planck value must be finite"):
-        from_planck(float("nan"), "length")
-
-
-def test_unrepresentable_conversions_are_non_finite_and_name_the_unit():
-    with pytest.raises(NonFiniteError) as to_err:
-        to_planck(1e300, "time")
-    assert str(to_err.value) == "1e+300 s is not representable in Planck units"
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_ints_beyond_the_double_range_raise_the_library_errors(kind):
-    si_unit = KINDS[kind][0]
-    for value in (10 ** 400, -(10 ** 400)):
-        with pytest.raises(NonFiniteError) as to_err:
-            to_planck(value, kind)
-        assert str(to_err.value) == f"{value!r} {si_unit} is not representable in Planck units"
-        with pytest.raises(InvalidInputError) as from_err:
-            from_planck(value, kind)
-        assert not isinstance(from_err.value, NonFiniteError)
-        assert str(from_err.value) == f"planck value must be finite, got {value!r}"
-    # An int too long for repr is named by its size.
-    with pytest.raises(NonFiniteError, match="^an integer of 16610 bits kg is not representable"):
-        to_planck(10 ** 5000, "mass")
-    # An int within the double range still converts.
-    assert to_planck(10 ** 250, kind) == to_planck(1e250, kind)
 
 
 @pytest.mark.parametrize("kind", KINDS)
