@@ -32,6 +32,7 @@ float; each is one float division or multiplication, so it rounds once.
 from __future__ import annotations
 
 import math
+import numbers
 
 from .errors import InvalidInputError, NonFiniteError
 
@@ -77,8 +78,9 @@ def _show(value) -> str:
 
 
 def _check_real(what: str, value) -> None:
-    # A bool is an int, but no quantity.
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    # Any real number, as bounds takes, numpy scalars and fractions too; a
+    # bool is an int, but no quantity.
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise InvalidInputError(f"{what} value must be a real number, got {value!r}")
 
 

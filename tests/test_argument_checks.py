@@ -10,22 +10,31 @@ change to an overflow site changes its row on purpose.
 
 import inspect
 import math
+from fractions import Fraction
 
 import pytest
 
 from interferobounds import bounds, causal, dynamics, scenario, units
 from interferobounds.errors import (ConvergenceError, GeometryError, InvalidInputError,
                                     NonFiniteError)
+from interferobounds.dynamics import GaussianState
 from interferobounds.scenario import CouplingKind, ScenarioParams, replace_swept
 from interferobounds.units import from_planck, to_planck
 
 _P = ScenarioParams(m_a=1.0, d=1.0, r=1000.0)
+_P10 = ScenarioParams(m_a=1.0, d=10.0, r=1000.0)
+_NEAR = ScenarioParams(m_a=1e6, d=1e6, r=1e8)
+_UNIT = ScenarioParams(m_a=1.0, d=1.0, r=1.0)
+_GROUND = dynamics.ground_state(1.0, 1.0)
+# r/d = 10, below the far-field gate.
+_NEAR_FIELD = ScenarioParams(m_a=1.0, d=1.0, r=10.0)
 # r*r underflows to zero, so a force computed before the width check divides by zero.
 _TINY = ScenarioParams(m_a=1.0, d=1e-200, r=1e-200)
 _COULOMB = dict(m_a=1.0, d=1.0, r=1000.0, q_a=1e3, q_b=1e3, delta_x_min=1.0)
 _FAR = ScenarioParams(m_a=1e9, d=1e4, r=1e8)
 # R^3 underflows to zero, so tb_displacement cannot reach the true 1.414e-149.
-_R3_UNDERFLOWS = dict(m_a=1e-100, d=1e-202, r=1e-200)
+_R3_UNDERFLOWS = ScenarioParams(m_a=1e-100, d=1e-202, r=1e-200)
+_R3_UNDERFLOWS_LIGHT_B = ScenarioParams(m_a=1e-100, d=1e-202, r=1e-200, m_b=1e-100)
 # K = m_a*m_b underflows to zero, so the phase cannot reach the true 9.99e-302.
 _K_UNDERFLOWS = ScenarioParams(m_a=1e-300, m_b=1e-300, d=1e3, r=1e6, override_geometry=True)
 # r**3 and r**2 raise OverflowError where the true values are finite.
@@ -43,6 +52,9 @@ LIBRARY_CASES = {
         InvalidInputError("planck value must be a real number, got '1'")),
     "from_planck True": (lambda: from_planck(True, "mass"),
         InvalidInputError("planck value must be a real number, got True")),
+    # Any other real number converts, as bounds takes it.
+    "to_planck Fraction(3)": (lambda: to_planck(Fraction(3), "mass"), 3.0 / units._M_P),
+    "from_planck Fraction(3)": (lambda: from_planck(Fraction(3), "mass"), 3.0 * units._M_P),
     "to_planck kind='speed'": (lambda: to_planck(1.0, "speed"), InvalidInputError(
         "unknown kind of quantity 'speed', expected one of mass, length, time, charge")),
     "from_planck kind='Length'": (lambda: from_planck(1.0, "Length"), InvalidInputError(
@@ -174,11 +186,10 @@ LIBRARY_CASES = {
         lambda: bounds.tb_displacement(ScenarioParams(m_a=1.0, d=1.0, r=1e4, coupling="coulomb",
                                                       q_a=10.0, q_b=10.0)),
         InvalidInputError("coulomb displacement bounds require an explicit delta_x_min")),
-    "tb_displacement R^3 underflows": (
-        lambda: bounds.tb_displacement(ScenarioParams(**_R3_UNDERFLOWS)),
+    "tb_displacement R^3 underflows": (lambda: bounds.tb_displacement(_R3_UNDERFLOWS),
         ArithmeticError("an intermediate step of tb_displacement underflowed to zero")),
     "tb_displacement R^3 underflows, m_b=1e-100": (
-        lambda: bounds.tb_displacement(ScenarioParams(**_R3_UNDERFLOWS, m_b=1e-100)),
+        lambda: bounds.tb_displacement(_R3_UNDERFLOWS_LIGHT_B),
         ArithmeticError("an intermediate step of tb_displacement underflowed to zero")),
     "tb_displacement r**3 overflows": (lambda: bounds.tb_displacement(_R3_OVERFLOWS),
         OverflowError(34, "Numerical result out of range")),
@@ -272,8 +283,7 @@ LIBRARY_CASES = {
     "tb_phase mode='quadrupole'": (lambda: bounds.tb_phase(_P, "quadrupole"),
         InvalidInputError("mode must be one of ('approx', 'exact'), got 'quadrupole'")),
     # The mode is checked before the geometry.
-    "tb_phase mode='quadrupole', r/d=10": (
-        lambda: bounds.tb_phase(ScenarioParams(m_a=1.0, d=1.0, r=10.0), "quadrupole"),
+    "tb_phase mode='quadrupole', r/d=10": (lambda: bounds.tb_phase(_NEAR_FIELD, "quadrupole"),
         InvalidInputError("mode must be one of ('approx', 'exact'), got 'quadrupole'")),
     "tb_phase approx r**2 overflows": (lambda: bounds.tb_phase(_R2_OVERFLOWS, "approx"),
         OverflowError(34, "Numerical result out of range")),
@@ -295,11 +305,10 @@ LIBRARY_CASES = {
     # m_a*m_b underflows, so this form cannot reach the true 3.18e-101.
     "r_max_phase m_a*m_b underflows": (lambda: bounds.r_max_phase(1e-200, 1e-200, 1e300),
         ArithmeticError("an intermediate step of r_max_phase underflowed to zero")),
-    "report_values R^3 underflows": (
-        lambda: bounds.report_values(ScenarioParams(**_R3_UNDERFLOWS), "displacement"),
+    "report_values R^3 underflows": (lambda: bounds.report_values(_R3_UNDERFLOWS, "displacement"),
         ArithmeticError("an intermediate step of tb_displacement underflowed to zero")),
     "report_values R^3 underflows, m_b=1e-100": (
-        lambda: bounds.report_values(ScenarioParams(**_R3_UNDERFLOWS, m_b=1e-100), "displacement"),
+        lambda: bounds.report_values(_R3_UNDERFLOWS_LIGHT_B, "displacement"),
         ArithmeticError("an intermediate step of tb_displacement underflowed to zero")),
     "report_series r=-10**400": (
         lambda: list(bounds.report_series(_P, "both", 1.0, "r", [1e6, -10**400])[1]),
@@ -313,11 +322,10 @@ LIBRARY_CASES = {
     "report_provenance coupling='foo'": (lambda: bounds.report_provenance("foo"),
         InvalidInputError("unknown coupling 'foo'")),
     "feasibility_report phase slack=nan": (
-        lambda: bounds.feasibility_report(
-            ScenarioParams(m_a=1e6, d=1e6, r=1e8), "phase", slack=math.nan),
+        lambda: bounds.feasibility_report(_NEAR, "phase", slack=math.nan),
         InvalidInputError("slack must be finite and positive, got nan")),
     "feasibility_report model='everything'": (
-        lambda: bounds.feasibility_report(ScenarioParams(m_a=1e6, d=1e6, r=1e8), "everything"),
+        lambda: bounds.feasibility_report(_NEAR, "everything"),
         InvalidInputError("model must be displacement, phase, or both, got 'everything'")),
     "feasibility_report coulomb without delta_x_min": (
         lambda: bounds.feasibility_report(ScenarioParams(
@@ -326,12 +334,14 @@ LIBRARY_CASES = {
     "feasibility_report field tb_nope": (lambda: bounds.feasibility_report(_P).tb_nope,
         AttributeError("'BoundsReport' object has no attribute 'tb_nope'")),
     # --- causal.  Times are checked as phase_difference checks its own.
-    "build_timeline without durations": (
-        lambda: causal.build_timeline(ScenarioParams(m_a=1.0, d=1.0, r=1.0)),
+    "build_timeline without durations": (lambda: causal.build_timeline(_UNIT),
         InvalidInputError("timeline needs t_a and t_b on the scenario")),
-    "check_no_signalling without durations": (
-        lambda: causal.check_no_signalling(ScenarioParams(m_a=1.0, d=1.0, r=1.0)),
+    "check_no_signalling without durations": (lambda: causal.check_no_signalling(_UNIT),
         InvalidInputError("timeline needs t_a and t_b on the scenario")),
+    "check_no_signalling t_a+t_b>2r": (lambda: causal.check_no_signalling(
+        ScenarioParams(m_a=1.0, d=1.0, r=1.0, t_a=1.5, t_b=0.6)),
+        causal.CausalVerdict(True, 0.10000000000000009, "T_A + T_B = 2.1 t_P exceeds the "
+            "round-trip light time 2R/c = 2.0 t_P (margin 0.10000000000000009 t_P)")),
     "meets_one_way_bound r=0": (lambda: causal.meets_one_way_bound(1.0, 1.0, 0.0),
         InvalidInputError("nonpositive length r = 0.0")),
     "meets_one_way_bound r<0": (lambda: causal.meets_one_way_bound(1.0, 1.0, -1.0),
@@ -356,37 +366,30 @@ LIBRARY_CASES = {
     "backreaction_free r=inf": (lambda: causal.backreaction_free(1.0, math.inf), True),
     # --- dynamics: it checks as bounds does.  An int beyond the double
     # range is named, or refused as a non-finite force or state field.
-    "GaussianState mean_x beyond the double range": (
-        lambda: dynamics.GaussianState(10**400, 0.0, ((1.0, 0.0), (0.0, 1.0))),
+    "GaussianState mean_x=10**400": (lambda: GaussianState(10**400, 0.0, ((1.0, 0.0), (0.0, 1.0))),
         NonFiniteError("state fields must be finite")),
-    "GaussianState cov beyond the double range": (
-        lambda: dynamics.GaussianState(0.0, 0.0, ((10**400, 0.0), (0.0, 1.0))),
+    "GaussianState cov_xx=10**400": (lambda: GaussianState(0.0, 0.0, ((10**400, 0.0), (0.0, 1.0))),
         NonFiniteError("state fields must be finite")),
-    "GaussianState cov=nan": (
-        lambda: dynamics.GaussianState(0.0, 0.0, [[1.0, math.nan], [math.nan, 1.0]]),
+    "GaussianState cov=nan": (lambda: GaussianState(0.0, 0.0, [[1.0, math.nan], [math.nan, 1.0]]),
         NonFiniteError("state fields must be finite")),
-    "GaussianState ragged cov": (lambda: dynamics.GaussianState(0.0, 0.0, [[1.0, 0.0], [0.0]]),
+    "GaussianState ragged cov": (lambda: GaussianState(0.0, 0.0, [[1.0, 0.0], [0.0]]),
         InvalidInputError("covariance must be a 2x2 array of numbers, got [[1.0, 0.0], [0.0]]")),
-    "GaussianState flat cov": (lambda: dynamics.GaussianState(0.0, 0.0, [1.0, 0.0, 0.0, 1.0]),
+    "GaussianState flat cov": (lambda: GaussianState(0.0, 0.0, [1.0, 0.0, 0.0, 1.0]),
         InvalidInputError("covariance must be a 2x2 array of numbers, got [1.0, 0.0, 0.0, 1.0]")),
-    "GaussianState cov=1.0": (lambda: dynamics.GaussianState(0.0, 0.0, 1.0),
+    "GaussianState cov=1.0": (lambda: GaussianState(0.0, 0.0, 1.0),
         InvalidInputError("covariance must be a 2x2 array of numbers, got 1.0")),
-    "GaussianState cov of a str": (
-        lambda: dynamics.GaussianState(0.0, 0.0, [["a", 0.0], [0.0, 1.0]]),
+    "GaussianState cov of a str": (lambda: GaussianState(0.0, 0.0, [["a", 0.0], [0.0, 1.0]]),
         InvalidInputError(
             "covariance must be a 2x2 array of numbers, got [['a', 0.0], [0.0, 1.0]]")),
-    "GaussianState cov of a complex": (
-        lambda: dynamics.GaussianState(0.0, 0.0, [[1.0, 0.0], [0.0, 1j]]),
+    "GaussianState cov of a complex": (lambda: GaussianState(0.0, 0.0, [[1.0, 0.0], [0.0, 1j]]),
         InvalidInputError(
             "covariance must be a 2x2 array of numbers, got [[1.0, 0.0], [0.0, 1j]]")),
-    "GaussianState asymmetric cov": (
-        lambda: dynamics.GaussianState(0.0, 0.0, ((1.0, 0.5), (0.0, 1.0))),
+    "GaussianState asymmetric cov": (lambda: GaussianState(0.0, 0.0, ((1.0, 0.5), (0.0, 1.0))),
         InvalidInputError("covariance must be symmetric")),
-    "GaussianState cov not positive definite": (
-        lambda: dynamics.GaussianState(0.0, 0.0, ((1.0, 0.0), (0.0, -1.0))),
+    "GaussianState indefinite cov": (lambda: GaussianState(0.0, 0.0, ((1.0, 0.0), (0.0, -1.0))),
         InvalidInputError("covariance must be positive definite")),
     "GaussianState cov below the uncertainty floor": (
-        lambda: dynamics.GaussianState(0.0, 0.0, ((0.1, 0.0), (0.0, 0.1))),
+        lambda: GaussianState(0.0, 0.0, ((0.1, 0.0), (0.0, 0.1))),
         InvalidInputError(
             "covariance violates the uncertainty floor: det = 0.010000000000000002 < 1/4")),
     "ground_state m=0": (lambda: dynamics.ground_state(0.0, 1.0),
@@ -399,7 +402,7 @@ LIBRARY_CASES = {
         NonFiniteError("frequency omega is an integer beyond the double range")),
     # The minimum uncertainty state: det(cov) = 1/4.
     "ground_state m=omega=1": (lambda: dynamics.ground_state(1.0, 1.0),
-        dynamics.GaussianState(0.0, 0.0, ((0.5, 0.0), (0.0, 0.5)), 0.0)),
+        GaussianState(0.0, 0.0, ((0.5, 0.0), (0.0, 0.5)), 0.0)),
     # +inf passes the positivity checks, but a ground state of infinite mass
     # has an infinite momentum width: a non-finite state, not an invalid input.
     "ground_state m=inf": (lambda: dynamics.ground_state(math.inf, 1.0),
@@ -414,42 +417,40 @@ LIBRARY_CASES = {
     "ground_state_with_width 2*m*sigma_x^2 overflows": (
         lambda: dynamics.ground_state_with_width(1e200, 1e60),
         NonFiniteError("2*m*sigma_x^2 overflows at m = 1e+200, sigma_x = 1e+60")),
-    "evolve_constant_force m=0": (
-        lambda: dynamics.evolve_constant_force(dynamics.ground_state(1.0, 1.0), 1.0, 0.0, 1.0),
+    "evolve_constant_force m=0": (lambda: dynamics.evolve_constant_force(_GROUND, 1.0, 0.0, 1.0),
         InvalidInputError("nonpositive mass m = 0.0")),
-    "evolve_constant_force t<0": (
-        lambda: dynamics.evolve_constant_force(dynamics.ground_state(1.0, 1.0), 0.0, 1.0, -0.1),
+    "evolve_constant_force t<0": (lambda: dynamics.evolve_constant_force(_GROUND, 0.0, 1.0, -0.1),
         InvalidInputError("time t must be finite and nonnegative, got -0.1")),
     "evolve_constant_force t=10**400": (
-        lambda: dynamics.evolve_constant_force(dynamics.ground_state(1.0, 1.0), 1.0, 1.0, 10**400),
+        lambda: dynamics.evolve_constant_force(_GROUND, 1.0, 1.0, 10**400),
         NonFiniteError("time t is an integer beyond the double range")),
     "evolve_constant_force m=10**400": (
-        lambda: dynamics.evolve_constant_force(dynamics.ground_state(1.0, 1.0), 1.0, 10**400, 1.0),
+        lambda: dynamics.evolve_constant_force(_GROUND, 1.0, 10**400, 1.0),
         NonFiniteError("mass m is an integer beyond the double range")),
     "evolve_constant_force force=10**400": (
-        lambda: dynamics.evolve_constant_force(dynamics.ground_state(1.0, 1.0), 10**400, 1.0, 1.0),
+        lambda: dynamics.evolve_constant_force(_GROUND, 10**400, 1.0, 1.0),
         NonFiniteError(f"force must be finite, got {10**400}")),
     "evolve_constant_force force=-10**5000": (
-        lambda: dynamics.evolve_constant_force(
-            dynamics.ground_state(1.0, 1.0), -10**5000, 1.0, 1.0),
+        lambda: dynamics.evolve_constant_force(_GROUND, -10**5000, 1.0, 1.0),
         NonFiniteError("force must be finite, got an integer of 16610 bits")),
     # tau = t/m = 2e-191, so tau*tau underflows to zero where tau*spp =
     # 4.4e97 does not: an arithmetic error, not an invalid input.
-    "evolve_constant_force rounding invalidates the state": (
-        lambda: dynamics.evolve_constant_force(
+    "evolve_constant_force rounding invalidates the state": (lambda: dynamics.evolve_constant_force(
             dynamics.ground_state_with_width(6.05e204, 3.43769e-145), 0.0, 6.05e204, 1.2496e14),
         ArithmeticError(
             "rounding made the evolved state invalid: covariance must be positive definite")),
-    "evolve_constant_force t=0": (
-        lambda: dynamics.evolve_constant_force(dynamics.ground_state(1.0, 1.0), 0.0, 1.0, 0.0),
-        dynamics.GaussianState(0.0, 0.0, ((0.5, 0.0), (0.0, 0.5)), 0.0)),
+    "evolve_constant_force t=0": (lambda: dynamics.evolve_constant_force(_GROUND, 0.0, 1.0, 0.0),
+        GaussianState(0.0, 0.0, ((0.5, 0.0), (0.0, 0.5)), 0.0)),
+    # mean_x = F*t^2/(2m) and mean_p = F*t.
+    "evolve_constant_force m=2, force=3, t=1.5": (
+        lambda: dynamics.evolve_constant_force(dynamics.ground_state(2.0, 1.0), 3.0, 2.0, 1.5),
+        GaussianState(1.6875, 4.5, ((0.8125, 0.75), (0.75, 1.0)), 5.0625)),
     # An infinite mass only stops the free spreading.
     "evolve_constant_force m=inf": (
-        lambda: dynamics.evolve_constant_force(dynamics.ground_state(1.0, 1.0), 1.0, math.inf, 1.0),
-        dynamics.GaussianState(0.0, 1.0, ((0.5, 0.0), (0.0, 0.5)), 0.0)),
+        lambda: dynamics.evolve_constant_force(_GROUND, 1.0, math.inf, 1.0),
+        GaussianState(0.0, 1.0, ((0.5, 0.0), (0.0, 0.5)), 0.0)),
     "overlap of a mixed state": (
-        lambda: dynamics.overlap(dynamics.GaussianState(0.0, 0.0, ((1.0, 0.0), (0.0, 1.0))),
-                                 dynamics.ground_state(1.0, 1.0)),
+        lambda: dynamics.overlap(GaussianState(0.0, 0.0, ((1.0, 0.0), (0.0, 1.0))), _GROUND),
         InvalidInputError("overlap is defined for pure states (det cov = 1/4), got det = 1.0")),
     "displacement_branches sigma0=0": (lambda: dynamics.displacement_branches(_P, 0.0, 1.0),
         InvalidInputError("nonpositive width sigma_x = 0.0")),
@@ -479,22 +480,18 @@ LIBRARY_CASES = {
         lambda: dynamics.orthogonalization_time(_FAR, 1.0, -10**5000),
         InvalidInputError("eps must lie in (0, 1), got an integer of 16610 bits")),
     # Coupling so weak that the overlap stays near one out to t = 1e6 R/c.
-    "orthogonalization_time no crossing": (
-        lambda: dynamics.orthogonalization_time(
+    "orthogonalization_time no crossing": (lambda: dynamics.orthogonalization_time(
             ScenarioParams(m_a=1.0, d=1.0, r=1e12, override_geometry=True), 1.0, 0.01),
         ConvergenceError("branch overlap stayed above eps = 0.01 up to t = 1e6*R/c")),
-    "phase_evolution t<0": (
-        lambda: dynamics.phase_evolution(ScenarioParams(m_a=1.0, d=10.0, r=1000.0), -1.0),
+    "phase_evolution t<0": (lambda: dynamics.phase_evolution(_P10, -1.0),
         InvalidInputError("time t must be finite and nonnegative, got -1.0")),
     "phase_evolution t=nan": (lambda: dynamics.phase_evolution(_P, math.nan),
         InvalidInputError("time t must be finite and nonnegative, got nan")),
     "phase_evolution t=10**400": (lambda: dynamics.phase_evolution(_P, 10**400),
         NonFiniteError("time t is an integer beyond the double range")),
-    "phase_evolution t=0": (
-        lambda: dynamics.phase_evolution(ScenarioParams(m_a=1.0, d=10.0, r=1000.0), 0.0),
+    "phase_evolution t=0": (lambda: dynamics.phase_evolution(_P10, 0.0),
         dynamics.PhaseBranchPair(0.0, 1.0)),
-    "phase_series r/d=10": (
-        lambda: dynamics.phase_series(ScenarioParams(m_a=1.0, d=1.0, r=10.0), []),
+    "phase_series r/d=10": (lambda: dynamics.phase_series(_NEAR_FIELD, []),
         GeometryError("far-field formulas need r/d >= 100.0, got r/d = 10.0; "
                       "set override_geometry to evaluate anyway")),
     "phase_series row t=10**400": (lambda: list(dynamics.phase_series(_FAR, [10**400])),
@@ -503,8 +500,7 @@ LIBRARY_CASES = {
 
 
 def _outcome(fn, **kwargs):
-    """fn(**kwargs) as its type and repr, or the type and message of what
-    it raises."""
+    """fn(**kwargs) as its type and repr, or the type and message it raises."""
     try:
         x = fn(**kwargs)
     except Exception as exc:
@@ -519,18 +515,13 @@ def test_library_case_gives_its_pinned_outcome(name):
     assert _outcome(call) == (type(outcome), shown)
 
 
-def _public_functions(module):
-    return {name for name, fn in vars(module).items()
-            if inspect.isfunction(fn) and fn.__module__ == module.__name__
-            and not name.startswith("_")}
-
-
 def test_library_cases_cover_every_public_callable_and_outcome():
     # causally_precedes orders two events and checks nothing; the plain
     # records are no functions.
-    callables = {"ScenarioParams", "GaussianState"}.union(
-        *map(_public_functions, (units, scenario, bounds, causal, dynamics)))
-    callables.remove("causally_precedes")
+    callables = {name for module in (units, scenario, bounds, causal, dynamics)
+                 for name, fn in vars(module).items() if inspect.isfunction(fn)
+                 and fn.__module__ == module.__name__ and not name.startswith("_")}
+    callables = callables - {"causally_precedes"} | {"ScenarioParams", "GaussianState"}
     assert {name.split()[0] for name in LIBRARY_CASES} == callables
     outcomes = {type(outcome) if isinstance(outcome, Exception) else "a value"
                 for _, outcome in LIBRARY_CASES.values()}

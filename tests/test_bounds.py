@@ -257,6 +257,14 @@ def test_optimize_eta_matches_analytic():
     assert "golden-section" in opt.method
 
 
+def test_optimize_eta_coefficient_bounds_grid_of_ta():
+    etas = np.linspace(1e-6, 1.0 - 1e-6, 200_001)
+    m_a, d = 3.0, 7.0
+    ta = 4.0 * (etas ** 2 - etas ** 3) * m_a * d
+    coeff_grid = float(np.max(ta) / (m_a * d))
+    assert optimize_eta().coefficient == pytest.approx(coeff_grid, abs=1e-9)
+
+
 # --- strongest floors --------------------------------------------------------
 
 

@@ -65,13 +65,6 @@ def test_state_validation_tolerances():
 # --- evolution ---------------------------------------------------------------
 
 
-def test_evolution_mean_shift_matches_kinematics():
-    s = ground_state(2.0, 1.0)
-    e = evolve_constant_force(s, 3.0, 2.0, 1.5)
-    assert e.mean_x == pytest.approx(3.0 * 1.5 ** 2 / (2.0 * 2.0), rel=1e-12)
-    assert e.mean_p == pytest.approx(3.0 * 1.5, rel=1e-12)
-
-
 def test_free_spreading_formula():
     sigma0, m = 0.7, 1.3
     s = ground_state_with_width(m, sigma0)
